@@ -26,7 +26,6 @@ from .nussbaum import (
 )
 from .backstepping import (
     GainConfig,
-    AdaptiveState,
     BacksteppingEngine,
     EngineEval,
     FactorizationError,

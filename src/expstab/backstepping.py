@@ -27,18 +27,24 @@ algebra; that one property is what lets the factorization rays, the
 nested sensitivities they need, and the quadrature batching share a
 single code path.
 
-The layer walk sits on the hot path of every integration step.  It
-sticks to tuples and floats, exploits exact zeros (a regressor component
-or virtual-law partial that is identically zero costs nothing
-downstream), batches all quadrature nodes of a ray through one pass,
-computes scaled errors and tuning functions lazily so structurally dead
-terms are never formed, and offers a diagnostics-light evaluation for
-the inner Runge-Kutta stages.
+The recursion is the one definition of the law, and it is what the
+simulator runs, but not through dual objects on every call.  An engine
+records the whole cascade once, on its first evaluation, by pushing
+traced leaves (:class:`expstab.duals.Traced`) for x, theta_hat and mu
+through it; every later evaluation replays the recorded straight-line
+float and array program.  Control flow in the recursion depends only on
+types, shapes and literal zeros (dual numbers and traced leaves support
+no comparisons, and a traced leaf is never an exact float zero), so the
+recording is valid at every state.  The replay computes each quantity
+the nested derivative contexts re-derive only once, keeps only the
+operations an output depends on (the diagnostics-light pass drops the
+layer matrices, residuals and records), and builds no dual at all.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,10 +52,14 @@ import numpy as np
 
 from .duals import (
     Dual,
+    Tape,
+    Traced,
     fresh_tag,
+    lift,
     partials_of,
     seed,
     strip_tag,
+    to_float,
     value_and_gradient,
     value_of,
 )
@@ -58,7 +68,6 @@ from .nussbaum import NussbaumSpec, nussbaum_value
 
 __all__ = [
     "GainConfig",
-    "AdaptiveState",
     "EngineEval",
     "GradParts",
     "BacksteppingEngine",
@@ -89,12 +98,30 @@ def _all_zero(tup) -> bool:
     return True
 
 
+def _is_array(v) -> bool:
+    return type(v) is np.ndarray or (type(v) is Traced and v.is_array())
+
+
+def _last_node(v) -> float:
+    return float(v[-1])  # appended sigma = 1 node
+
+
 def _plain(v) -> float:
     while type(v) is Dual:
         v = v.val
-    if isinstance(v, np.ndarray):
-        return float(v[-1])  # appended sigma = 1 node
-    return float(v)
+    if _is_array(v):
+        return lift(_last_node, v)
+    return to_float(v)
+
+
+def _weighted_sum(weights, obj):
+    # integral over sigma: weighted sum along the leading node axis
+    if obj.ndim == 1:
+        return float(weights @ obj)
+    if obj.ndim == 2:
+        return weights @ obj
+    flat = weights @ obj.reshape(obj.shape[0], -1)
+    return flat.reshape(obj.shape[1:])
 
 
 def _gauss_legendre_01(nodes: int):
@@ -154,15 +181,6 @@ class GainConfig:
                 raise ValueError("Gamma must be positive definite")
 
 
-@dataclass
-class AdaptiveState:
-    """Estimator state carried alongside the plant between steps."""
-
-    theta_hat: np.ndarray
-    rho_hat: Optional[float] = None
-    xi: Optional[float] = None
-
-
 class GradParts:
     """Partials of one virtual law w.r.t. (xbar, theta_hat, mu)."""
 
@@ -185,7 +203,7 @@ class _Cascade:
     """
 
     __slots__ = ("xs", "zs", "phis", "ws", "alphas", "galphas", "zetas",
-                 "q", "_mu2", "_ms", "_tau")
+                 "rays", "q", "_mu2", "_ms", "_tau")
 
     def __init__(self, q, mu2):
         self.xs = []
@@ -195,6 +213,7 @@ class _Cascade:
         self.alphas = []
         self.galphas = []
         self.zetas = []
+        self.rays = []
         self.q = q
         self._mu2 = mu2
         self._ms = []
@@ -292,12 +311,20 @@ def terminal_gain(n: int, cfg: GainConfig, w_frob_sq, psi_bar_sq):
     )
 
 
+# the EngineEval fields a pass produces, and the diagnostics-light subset
+_FULL_FIELDS = ("z", "s", "phi", "w", "tau", "alpha", "grad_alpha", "W",
+                "W_frob_sq", "zeta", "psi", "psi_bar", "kappa", "resid_w",
+                "resid_psi", "theta_hat_dot")
+_LIGHT = tuple(_FULL_FIELDS.index(f) for f in
+               ("z", "s", "phi", "alpha", "zeta", "psi_bar", "kappa", "theta_hat_dot"))
+
+
 class BacksteppingEngine:
     """Per-step evaluator for one plant/config pair.
 
-    Instances hold no mutable state between evaluations: every call is a
-    pure function of the snapshot, so one engine may serve many concurrent
-    closed-loop runs.
+    The first :meth:`evaluate` records the cascade into a program (under
+    a lock); after that every call is a pure function of the snapshot, so
+    one engine may serve many concurrent closed-loop runs.
     """
 
     def __init__(self, model: SystemModel, cfg: GainConfig):
@@ -310,6 +337,14 @@ class BacksteppingEngine:
         G = np.asarray(cfg.Gamma, dtype=float)
         if G.shape != (model.q, model.q):
             raise ValueError(f"Gamma must be {model.q}x{model.q}, got {G.shape}")
+        for i, reg in enumerate(model.regressors, start=1):
+            # the layer walk zips regressor components against q-vectors,
+            # which would silently drop surplus components
+            got = len(reg(*([0.0] * i)))
+            if got != model.q:
+                raise ValueError(
+                    f"phi_{i} returns {got} components, the plant has q = {model.q}"
+                )
         self.model = model
         self.cfg = cfg
         self.n = model.n
@@ -329,39 +364,9 @@ class BacksteppingEngine:
             )
             for m in range(1, model.n + 1)
         }
-        self._sigma_shapes = {}
-        self._phi1_zero = self._probe_first_regressor_zero()
-        self._w1_zero = (0.0,) * self.q
-        self._W1_zero = ((0.0,) * self.q,)
-
-    def _probe_first_regressor_zero(self) -> bool:
-        """True when phi_1 provably ignores its argument and returns zero.
-
-        A callable that maps seeded dual inputs to plain exact-zero floats
-        carries no dependence on the state (it never touched the dual),
-        and with the vanish-at-origin requirement that makes the layer-1
-        factor identically zero.  The single-layer factorization ray can
-        then be skipped exactly; the per-step residual monitor would
-        expose a regressor that lies about its independence by other
-        means (e.g. inspecting raw values), so the shortcut stays honest.
-        """
-        try:
-            for probe in (0.37, -1.42):
-                _, (seeded,) = seed((probe,))
-                out = self._regs[0](seeded)
-                comps = (
-                    tuple(float(v) for v in out)
-                    if isinstance(out, np.ndarray)
-                    else tuple(out)
-                )
-                if len(comps) != self.q:
-                    return False
-                for c in comps:
-                    if not (type(c) is float and c == 0.0):
-                        return False
-            return True
-        except Exception:
-            return False
+        self._sigma_shapes = {0: self._sigma}
+        self._programs = None  # (light, full), recorded on first use
+        self._record_lock = threading.Lock()
 
     def _sigma_by_ndim(self, ndim: int) -> np.ndarray:
         got = self._sigma_shapes.get(ndim)
@@ -403,34 +408,28 @@ class BacksteppingEngine:
         return tuple(out)
 
     def _contract(self, obj):
-        # integral over sigma of one sensitivity entry: weighted sum along
-        # the node axis; constants integrate to themselves
+        # integral over sigma of one sensitivity entry; constants along
+        # the ray integrate to themselves
         if type(obj) is Dual:
             return Dual(
                 obj.tag,
                 self._contract(obj.val),
                 tuple(0.0 if _is_zero(e) else self._contract(e) for e in obj.eps),
             )
-        if isinstance(obj, np.ndarray):
-            if obj.ndim == 1:
-                return float(self._weights @ obj)
-            if obj.ndim == 2:
-                return self._weights @ obj
-            flat = self._weights @ obj.reshape(obj.shape[0], -1)
-            return flat.reshape(obj.shape[1:])
+        if _is_array(obj):
+            return lift(_weighted_sum, self._weights, obj)
         return obj
 
     # -- the layer recursion ---------------------------------------------
 
-    def _chain(self, mode: str, m: int, vec, th, mu, want_alpha_m: bool,
-               collect: Optional[dict] = None) -> _Cascade:
+    def _chain(self, mode: str, m: int, vec, th, mu, want_alpha_m: bool) -> _Cascade:
         """Walk layers 1..m in whatever algebra ``vec``/``th``/``mu`` carry.
 
         ``vec`` holds x components (mode 'x') or z components (mode 'z').
         Virtual laws are produced up to min(m-1, n-1), or m with
         ``want_alpha_m``; their sensitivities up to m-1 (layer j < m feeds
-        the j+1 expressions).  ``collect`` receives plain-float layer
-        matrices, Frobenius norms and factorization residuals.
+        the j+1 expressions).  ``rays`` keeps the factorization of every
+        layer that got a law, for the diagnostics read off at the top.
         """
         n = self.n
         q = self.q
@@ -485,29 +484,15 @@ class BacksteppingEngine:
 
             if j <= alpha_upto:
                 if j < m:
-                    if j == 1:
-                        alpha_j, galpha_j, zeta_j, extras = self._alpha1_with_grad(
-                            xs[0], th, mu, collect=collect is not None
-                        )
-                    else:
-                        alpha_j, galpha_j, zeta_j, extras = self._alpha_with_grad(
-                            j, xs, th, mu, collect=collect is not None
-                        )
+                    alpha_j, galpha_j, zeta_j, ray = self._alpha_with_grad(j, xs, th, mu)
                     cc.galphas.append(galpha_j)
                     galpha_prev = galpha_j
                 else:
-                    ray = self._factorize_ray(
-                        j, zs, th, mu, want_psi=False,
-                        collect_w=collect is not None,
-                    )
+                    ray = self._factorize_ray(j, zs, th, mu, want_psi=False)
                     zeta_j = damping_gain(j, n, self.cfg, ray["W_frob_sq"])
                     alpha_j = self._alpha_expr(j, zeta_j, cc, th, mu,
                                                galpha_prev)
-                    extras = ray
-                if collect is not None:
-                    collect["W"].append(extras["W_plain"])
-                    collect["W_frob_sq"].append(extras["W_frob_sq_plain"])
-                    collect["resid_w"].append(extras["resid"])
+                cc.rays.append(ray)
                 cc.zetas.append(zeta_j)
                 cc.alphas.append(alpha_j)
                 alpha_prev = alpha_j
@@ -546,62 +531,14 @@ class BacksteppingEngine:
                 a = a + gp.mu * (self._lam * mu)
         return a
 
-    def _layer1(self, x1, th, mu, collect_w: bool):
-        """First-layer law in whatever algebra the arguments carry.
-
-        alpha_1 = -(k_1 + zeta_1) z_1 - w_1^T theta_hat with z_1 = x_1 and
-        w_1 = phi_1; shared by the plain, seeded and in-ray evaluations so
-        the expression exists exactly once.
-        """
-        ray = self._factorize_ray(1, [x1], th, mu, want_psi=False,
-                                  collect_w=collect_w)
-        zeta1 = damping_gain(1, self.n, self.cfg, ray["W_frob_sq"])
-        phi1 = self._phi(1, [x1])
-        a = -(self._k[0] + zeta1) * x1
-        d = self._dot(phi1, th)
-        if not _is_zero(d):
-            a = a - d
-        return a, zeta1, phi1, ray
-
-    def _alpha1_with_grad(self, x1, th, mu, collect=False):
-        """Specialized first-layer sensitivity pass.
-
-        Identical mathematics to :meth:`_alpha_with_grad` with j = 1 (the
-        first virtual law involves no lower layers, so the cascade
-        bookkeeping would be pure overhead on the innermost hot path).
-        """
-        q = self.q
-        scaled = self.cfg.scaled
-        args = (x1, *th, mu) if scaled else (x1, *th)
-        tag, seeded = seed(args)
-        sth = tuple(seeded[1:1 + q])
-        smu = seeded[1 + q] if scaled else 1.0
-
-        a, zeta1, _, ray = self._layer1(seeded[0], sth, smu, collect)
-
-        val = strip_tag(a, tag)
-        eps = partials_of(a, tag, len(args))
-        gparts = GradParts(
-            x=eps[:1],
-            th=eps[1:1 + q],
-            mu=eps[1 + q] if scaled else 0.0,
-        )
-        extras = None
-        if collect:
-            extras = {
-                "W_plain": ray["W_plain"],
-                "W_frob_sq_plain": ray["W_frob_sq_plain"],
-                "resid": ray["resid"],
-            }
-        return val, gparts, strip_tag(zeta1, tag), extras
-
-    def _alpha_with_grad(self, j, xs, th, mu, collect=False):
+    def _alpha_with_grad(self, j, xs, th, mu):
         """Value and sensitivities of alpha_j at the current point.
 
         Re-runs layers 1..j with (xbar_j, theta_hat, mu) seeded, so the
         sensitivities propagate through exactly the recursion that defines
         the value, including the factorizations inside the damping gains.
-        The current point may itself carry outer tags.
+        The current point may itself carry outer tags.  Also returns the
+        damping gain and the factorization ray of layer j.
         """
         q = self.q
         scaled = self.cfg.scaled
@@ -614,8 +551,7 @@ class BacksteppingEngine:
         sth = tuple(seeded[j:j + q])
         smu = seeded[j + q] if scaled else 1.0
 
-        coll = {"W": [], "W_frob_sq": [], "resid_w": []} if collect else None
-        cc = self._chain("x", j, sx, sth, smu, want_alpha_m=True, collect=coll)
+        cc = self._chain("x", j, sx, sth, smu, want_alpha_m=True)
 
         alpha_dual = cc.alphas[j - 1]
         val = strip_tag(alpha_dual, tag)
@@ -625,37 +561,17 @@ class BacksteppingEngine:
             th=eps[j:j + q],
             mu=eps[j + q] if scaled else 0.0,
         )
-        zeta_val = strip_tag(cc.zetas[j - 1], tag)
-        extras = None
-        if collect:
-            extras = {
-                "W_plain": coll["W"][j - 1],
-                "W_frob_sq_plain": coll["W_frob_sq"][j - 1],
-                "resid": coll["resid_w"][j - 1],
-            }
-        return val, gparts, zeta_val, extras
+        return val, gparts, strip_tag(cc.zetas[j - 1], tag), cc.rays[j - 1]
 
-    def _factorize_ray(self, m, zs, th, mu, want_psi: bool, collect_w: bool,
-                       diag: bool = False):
+    def _factorize_ray(self, m, zs, th, mu, want_psi: bool) -> dict:
         """Line-integral factorization of layer m (plus psi when asked).
 
         Evaluates the cascade at sigma * zbar_m for every quadrature node
         in one batched pass (theta_hat, mu frozen), reads the Jacobian of
         w_m (and psi) off the seed sensitivities and contracts it with the
-        weights.  The appended sigma = 1 node supplies base values and the
-        factorization residual.
+        weights.  The appended sigma = 1 node carries the base values.
         """
         q = self.q
-        if m == 1 and not want_psi and self._phi1_zero:
-            # the first regressor is identically zero: the factor, its norm
-            # and the factorization residual are exact zeros, no quadrature
-            out = {"W": self._W1_zero, "W_frob_sq": 0.0}
-            if collect_w:
-                out["W_plain"] = self._W1_zero
-                out["W_frob_sq_plain"] = 0.0
-                out["resid"] = 0.0
-                out["w_base"] = self._w1_zero
-            return out
         zbar = zs[:m]
         v0 = zbar[0]
         while type(v0) is Dual:
@@ -666,15 +582,8 @@ class BacksteppingEngine:
         # each scaled point sigma*zbar is an independent variable, so the
         # downstream sensitivities are the Jacobian evaluated on the ray
         seeded = [Dual(tag, sig * zbar[l], units[l]) for l in range(m)]
-
-        if m == 1 and not want_psi:
-            # single-layer factorization: no cascade bookkeeping needed
-            w_m = self._phi(1, [seeded[0]])
-            cc = None
-        else:
-            cc = self._chain("z", m, seeded, th, mu, want_alpha_m=False,
-                             collect=None)
-            w_m = cc.ws[m - 1]
+        cc = self._chain("z", m, seeded, th, mu, want_alpha_m=False)
+        w_m = cc.ws[m - 1]
 
         rows = [partials_of(comp, tag, m) for comp in w_m]
         W = tuple(
@@ -688,52 +597,31 @@ class BacksteppingEngine:
                 sq = e * e
                 frob = sq if _is_zero(frob) else frob + sq
 
-        out = {"W": W, "W_frob_sq": frob}
-
-        if collect_w:
-            w_plain = tuple(
-                tuple(0.0 if _is_zero(Wlc) else float(value_of(Wlc)) for Wlc in row)
-                for row in W
-            )
-            zb = tuple(_plain(z) for z in zbar)
-            w_base = tuple(_plain(c) for c in w_m)
-            resid_sq = 0.0
-            for c in range(q):
-                pred = 0.0
-                for l in range(m):
-                    pred += w_plain[l][c] * zb[l]
-                resid_sq += (w_base[c] - pred) ** 2
-            out["W_plain"] = w_plain
-            out["W_frob_sq_plain"] = float(value_of(frob))
-            out["resid"] = math.sqrt(resid_sq)
-            out["w_base"] = w_base
-
+        ray = {"W": W, "W_frob_sq": frob, "zbar": zbar, "w": w_m}
         if want_psi:
-            if "w_base" not in out:
-                out["w_base"] = tuple(_plain(c) for c in w_m)
-            out["phi_base"] = tuple(_plain(c) for c in cc.phis[m - 1])
             psi = self._psi_expr(cc, th, mu)
-            psi_bar = tuple(self._contract(e) for e in partials_of(psi, tag, m))
-            out["psi_bar"] = psi_bar
-            if diag:
-                if cc.galphas:
-                    g = cc.galphas[-1]
-                    out["galpha_base"] = GradParts(
-                        x=tuple(_plain(e) for e in g.x),
-                        th=tuple(_plain(e) for e in g.th),
-                        mu=_plain(g.mu),
-                    )
-                psi_base = _plain(psi)
-                zb = tuple(_plain(z) for z in zbar)
-                pred = 0.0
-                for l in range(m):
-                    pb = psi_bar[l]
-                    if _is_zero(pb):
-                        continue
-                    pred += float(value_of(pb)) * zb[l]
-                out["psi"] = psi_base
-                out["resid_psi"] = abs(psi_base - pred)
-        return out
+            ray["cc"] = cc
+            ray["psi"] = psi
+            ray["psi_bar"] = tuple(
+                self._contract(e) for e in partials_of(psi, tag, m)
+            )
+        return ray
+
+    def _ray_diagnostics(self, ray: dict):
+        """Plain W, |W|_F^2 and the residual |w - W^T zbar| of one ray."""
+        W = tuple(
+            tuple(0.0 if _is_zero(e) else to_float(value_of(e)) for e in row)
+            for row in ray["W"]
+        )
+        zb = tuple(_plain(z) for z in ray["zbar"])
+        w_base = tuple(_plain(c) for c in ray["w"])
+        resid_sq = 0.0
+        for c in range(self.q):
+            pred = 0.0
+            for l in range(len(zb)):
+                pred += W[l][c] * zb[l]
+            resid_sq += (w_base[c] - pred) ** 2
+        return W, to_float(value_of(ray["W_frob_sq"])), lift(math.sqrt, resid_sq)
 
     def _psi_expr(self, cc: _Cascade, th, mu):
         """Terminal coupling scalar from an evaluated cascade."""
@@ -766,77 +654,34 @@ class BacksteppingEngine:
                 p = p - cc.ms(i) * gl
         return p
 
-    # -- public entry points -----------------------------------------------
 
-    def evaluate(self, t: float, x, theta_hat, mu: Optional[float] = None,
-                 diagnostics: bool = True) -> EngineEval:
-        """Run the full cascade at a snapshot.
+    def _cascade(self, x: tuple, th: tuple, mu) -> tuple:
+        """Every :class:`EngineEval` field at a snapshot, in ``_FULL_FIELDS`` order.
 
-        With ``diagnostics=False`` the pass skips the plain-float
-        extraction of layer matrices, residuals, tuning-function record
-        and virtual-law partials (everything the input law itself does
-        not need); the corresponding fields come back ``None``.  The
-        simulator uses light passes for the inner Runge-Kutta stages and
-        a full pass on each accepted state, where the residual monitors
-        run.
+        Runs in any algebra; :meth:`evaluate` records it once with traced
+        leaves and replays the recording.
         """
         n, q = self.n, self.q
-        if type(x) is not tuple:
-            x = tuple(float(v) for v in x)
-        if type(theta_hat) is tuple:
-            th = theta_hat
-        else:
-            th = tuple(float(v) for v in theta_hat)
-        if len(x) != n or len(th) != q:
-            raise ValueError(f"expected state of length {n} and estimate of length {q}")
-        if mu is None:
-            mu = math.exp(self._lam * t) if self.cfg.scaled else 1.0
-
-        collect = {"W": [], "W_frob_sq": [], "resid_w": []} if diagnostics else None
-        if n == 2:
-            # the cascade above the terminal layer is a single plain
-            # layer-1 evaluation; skip the generic walk's bookkeeping
-            a1, zeta1, phi1, ray1 = self._layer1(x[0], th, mu, diagnostics)
-            top = _Cascade(q, None)
-            top.xs.append(x[0])
-            top.zs.append(x[0])
-            top.phis.append(phi1)
-            top.ws.append(phi1)
-            top._ms.append(None)
-            top.alphas.append(a1)
-            top.zetas.append(zeta1)
-            if diagnostics:
-                collect["W"].append(ray1["W_plain"])
-                collect["W_frob_sq"].append(ray1["W_frob_sq_plain"])
-                collect["resid_w"].append(ray1["resid"])
-        else:
-            top = self._chain("x", n - 1, x[: n - 1], th, mu, want_alpha_m=True,
-                              collect=collect)
-
+        top = self._chain("x", n - 1, x[: n - 1], th, mu, want_alpha_m=True)
         alphas = top.alphas
         z = list(top.zs)
-        z_n = x[n - 1] - alphas[n - 2] if n >= 2 else x[0]
-        z.append(z_n)
-        if mu == 1.0:
-            s = list(z)
-        else:
-            s = [mu * zj for zj in z]
+        z.append(x[n - 1] - alphas[n - 2] if n >= 2 else x[0])
+        s = [mu * zj for zj in z]
 
-        ray = self._factorize_ray(n, z, th, mu, want_psi=True,
-                                  collect_w=diagnostics, diag=diagnostics)
-
+        ray = self._factorize_ray(n, z, th, mu, want_psi=True)
+        cc = ray["cc"]
         psi_bar = tuple(
-            0.0 if _is_zero(e) else float(value_of(e)) for e in ray["psi_bar"]
+            0.0 if _is_zero(e) else to_float(value_of(e)) for e in ray["psi_bar"]
         )
         psi_bar_sq = 0.0
         for e in psi_bar:
             psi_bar_sq += e * e
-        w_frob_n = float(value_of(ray["W_frob_sq"]))
+        w_frob_n = to_float(value_of(ray["W_frob_sq"]))
         kappa = terminal_gain(n, self.cfg, w_frob_n, psi_bar_sq)
 
-        # tuning functions at the base point, layer by layer (plain floats)
+        # tuning functions at the base point, layer by layer
         w_all = list(top.ws)
-        w_all.append(ray["w_base"])
+        w_all.append(tuple(_plain(c) for c in ray["w"]))
         mu2 = mu * mu
         taus = []
         tau_c = [0.0] * q
@@ -848,53 +693,75 @@ class BacksteppingEngine:
                 if not _is_zero(wc):
                     tau_c[c] += wc * ms_j
             taus.append(tuple(tau_c))
-        tau_n = taus[-1]
-        theta_hat_dot = self._gamma_vec(tau_n)
+        theta_hat_dot = self._gamma_vec(taus[-1])
 
-        if diagnostics:
-            W = tuple(collect["W"] + [ray["W_plain"]])
-            W_frob_sq = tuple(collect["W_frob_sq"] + [ray["W_frob_sq_plain"]])
-            resid_w = tuple(collect["resid_w"] + [ray["resid"]])
-            grad_alpha = list(top.galphas)
-            if n >= 2:
-                grad_alpha.append(ray["galpha_base"])
-            grad_alpha = tuple(grad_alpha)
-            w_rec = tuple(w_all)
-            tau_rec = tuple(taus)
-            psi_val = ray["psi"]
-            resid_psi = ray["resid_psi"]
-        else:
-            W = None
-            W_frob_sq = None
-            resid_w = None
-            grad_alpha = None
-            w_rec = None
-            tau_rec = None
-            psi_val = None
-            resid_psi = None
-
-        return EngineEval(
-            t=t,
-            x=x,
-            theta_hat=th,
-            mu=mu,
-            z=tuple(z),
-            s=tuple(s),
-            phi=tuple(list(top.phis) + [ray["phi_base"]]),
-            w=w_rec,
-            tau=tau_rec,
-            alpha=tuple(alphas),
-            grad_alpha=grad_alpha,
-            W=W,
-            W_frob_sq=W_frob_sq,
-            zeta=tuple(top.zetas),
-            psi=psi_val,
-            psi_bar=psi_bar,
-            kappa=float(kappa),
-            resid_w=resid_w,
-            resid_psi=resid_psi,
-            theta_hat_dot=theta_hat_dot,
+        # diagnostics, read off the sigma = 1 node of each layer's ray
+        W, W_frob_sq, resid_w = zip(
+            *(self._ray_diagnostics(r) for r in top.rays + [ray])
         )
+        grad_alpha = [(g.x, g.th, g.mu) for g in top.galphas]
+        if n >= 2:
+            g = cc.galphas[-1]
+            grad_alpha.append((tuple(_plain(e) for e in g.x),
+                               tuple(_plain(e) for e in g.th), _plain(g.mu)))
+        psi = _plain(ray["psi"])
+        pred = 0.0
+        for pb, z_l in zip(ray["psi_bar"], ray["zbar"]):
+            if _is_zero(pb):
+                continue
+            pred += to_float(value_of(pb)) * _plain(z_l)
+        phi = tuple(top.phis) + (tuple(_plain(c) for c in cc.phis[n - 1]),)
+
+        return (
+            tuple(z), tuple(s), phi, tuple(w_all), tuple(taus), tuple(alphas),
+            tuple(grad_alpha), W, W_frob_sq, tuple(top.zetas), psi, psi_bar,
+            to_float(kappa), resid_w, abs(psi - pred), theta_hat_dot,
+        )
+
+    def _record(self, x: tuple, th: tuple, mu: float):
+        with self._record_lock:
+            if self._programs is None:
+                tape = Tape()
+                leaves = [tape.input(v) for v in x + th + (mu,)]
+                n = self.n
+                full = self._cascade(tuple(leaves[:n]), tuple(leaves[n:-1]), leaves[-1])
+                self._programs = tape.compile(tuple(full[i] for i in _LIGHT), full)
+            return self._programs
+
+    # -- public entry points -----------------------------------------------
+
+    def evaluate(self, t: float, x, theta_hat, mu: Optional[float] = None,
+                 diagnostics: bool = True) -> EngineEval:
+        """Run the full cascade at a snapshot.
+
+        With ``diagnostics=False`` the pass skips the layer matrices,
+        residuals, tuning-function record and virtual-law partials
+        (everything the input law itself does not need); the
+        corresponding fields come back ``None``.  The simulator uses light
+        passes for the inner Runge-Kutta stages and a full pass on each
+        accepted state, where the residual monitors run.  Both replay the
+        engine's recording of :meth:`_cascade`.
+        """
+        n, q = self.n, self.q
+        x = tuple([float(v) for v in x])
+        th = tuple([float(v) for v in theta_hat])
+        if len(x) != n or len(th) != q:
+            raise ValueError(f"expected state of length {n} and estimate of length {q}")
+        if mu is None:
+            mu = math.exp(self._lam * t) if self.cfg.scaled else 1.0
+        mu = float(mu)
+        light, full = self._programs or self._record(x, th, mu)
+        inputs = x + th + (mu,)
+        if diagnostics:
+            (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
+             psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = full(inputs)
+            grad_alpha = tuple(GradParts(*g) for g in grad_alpha)
+        else:
+            z, s, phi, alpha, zeta, psi_bar, kappa, theta_hat_dot = light(inputs)
+            w = tau = grad_alpha = W = W_frob_sq = psi = resid_w = resid_psi = None
+        return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha, grad_alpha, W,
+                          W_frob_sq, zeta, psi, psi_bar, kappa, resid_w, resid_psi,
+                          theta_hat_dot)
 
     def virtual_law(self, i: int, x, theta_hat, mu: float) -> float:
         """Value of alpha_i at a point (i <= n-1)."""
@@ -917,6 +784,7 @@ class BacksteppingEngine:
             th=tuple(float(v) for v in g.th),
             mu=float(g.mu),
         )
+
 
 
 def control_theorem1(ev: EngineEval, rho_hat: float, cfg: GainConfig):

@@ -207,6 +207,10 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
         f"scenario:   {traj.scenario_name}",
         f"controller: {traj.controller}",
         f"status:     {traj.status}",
+    ]
+    if traj.monitors.get("failure_reason"):
+        lines.append(f"cause:      {traj.monitors['failure_reason']}")
+    lines += [
         f"steps:      {traj.monitors['steps']} (recorded {len(traj.t)})",
         f"horizon:    {traj.meta['horizon_s']} s at step {traj.meta['step_s']} s",
     ]
@@ -273,7 +277,8 @@ def cmd_run(args) -> int:
     fails = _write_report(traj, out_dir, args.quiet)
     if not traj.completed:
         print(
-            f"run {traj.status} at t={traj.failure_time}",
+            f"run {traj.status} at t={traj.failure_time}: "
+            f"{traj.monitors['failure_reason']}",
             file=sys.stderr,
         )
         return EXIT_DIVERGED
@@ -320,7 +325,8 @@ def cmd_compare(args) -> int:
     bad = [t for t in trajectories if not t.completed]
     if bad:
         for t in bad:
-            print(f"{t.scenario_name}: {t.status} at t={t.failure_time}", file=sys.stderr)
+            print(f"{t.scenario_name}: {t.status} at t={t.failure_time}: "
+                  f"{t.monitors['failure_reason']}", file=sys.stderr)
         return EXIT_DIVERGED
     table = compare_runs(trajectories, threshold=args.threshold, rate=args.rate)
     text = str(table) + "\n"

@@ -18,11 +18,23 @@ step):
   structurally absent terms cost nothing;
 * sensitivity tuples store exact float zeros for dead directions and all
   combining helpers skip them.
+
+Recording (:class:`Tape`, :class:`Traced`): a traced leaf stands in for a
+float or ndarray payload and writes every arithmetic operation applied to
+it onto a tape.  Pushing traced leaves through the dual algebra once turns
+an arbitrarily nested derivative computation into a flat list of float and
+array operations, which :meth:`Tape.compile` turns into a replayable
+:class:`Program`.  A traced leaf is never a ``float``, so the exact-zero
+shortcuts above fire only on literal zeros (zeros that do not depend on
+the recorded inputs), and the recorded program is valid at every input.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import weakref
 
 import numpy as np
 
@@ -39,16 +51,23 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
+    "Tape",
+    "Traced",
+    "Program",
+    "lift",
+    "to_float",
 ]
 
-_tag_counter = 0
+_tags = itertools.count(1)
 
 
 def fresh_tag() -> int:
-    """Return a new, strictly increasing derivative tag."""
-    global _tag_counter
-    _tag_counter += 1
-    return _tag_counter
+    """Return a new, strictly increasing derivative tag.
+
+    ``next`` on an ``itertools.count`` is atomic under the GIL, so
+    concurrent callers never draw the same tag.
+    """
+    return next(_tags)
 
 
 def _is_zero(v) -> bool:
@@ -288,6 +307,8 @@ def sin(x):
         return Dual(x.tag, sin(x.val), _eps_scale(x.eps, cos(x.val)))
     if type(x) is float or type(x) is int:
         return math.sin(x)
+    if type(x) is Traced:
+        return x.tape.call(sin, x)
     return np.sin(x)
 
 
@@ -296,6 +317,8 @@ def cos(x):
         return Dual(x.tag, cos(x.val), _eps_scale(x.eps, -sin(x.val)))
     if type(x) is float or type(x) is int:
         return math.cos(x)
+    if type(x) is Traced:
+        return x.tape.call(cos, x)
     return np.cos(x)
 
 
@@ -305,6 +328,8 @@ def exp(x):
         return Dual(x.tag, v, _eps_scale(x.eps, v))
     if type(x) is float or type(x) is int:
         return math.exp(x)
+    if type(x) is Traced:
+        return x.tape.call(exp, x)
     return np.exp(x)
 
 
@@ -313,6 +338,8 @@ def log(x):
         return Dual(x.tag, log(x.val), _eps_scale(x.eps, 1.0 / x.val))
     if type(x) is float or type(x) is int:
         return math.log(x)
+    if type(x) is Traced:
+        return x.tape.call(log, x)
     return np.log(x)
 
 
@@ -322,4 +349,317 @@ def sqrt(x):
         return Dual(x.tag, v, _eps_scale(x.eps, 0.5 / v))
     if type(x) is float or type(x) is int:
         return math.sqrt(x)
+    if type(x) is Traced:
+        return x.tape.call(sqrt, x)
     return np.sqrt(x)
+
+
+# -- recording and replay ----------------------------------------------------
+
+
+def _traced_binary(fn):
+    def forward(self, o):
+        if type(o) is Dual:
+            return NotImplemented  # the dual algebra treats us as a constant
+        return self.tape.call(fn, self, o)
+
+    def reflected(self, o):
+        return self.tape.call(fn, o, self)
+
+    return forward, reflected
+
+
+class Traced:
+    """A float or ndarray payload whose arithmetic is written to a tape.
+
+    ``v`` is the concrete value at the recording point.  Only its type and
+    shape (``ndim``) may steer a recording, never its numbers: like
+    :class:`Dual` a traced leaf supports no ordering, and ``float()`` or
+    truth-testing it raises, so a value-dependent branch cannot slip into
+    a recording unnoticed.
+    """
+
+    __slots__ = ("tape", "reg", "v", "__weakref__")
+    # Keep numpy from trying to broadcast over us elementwise.
+    __array_ufunc__ = None
+
+    def __init__(self, tape: "Tape", reg: int, v):
+        self.tape = tape
+        self.reg = reg
+        self.v = v
+
+    def __repr__(self) -> str:
+        return f"Traced(reg={self.reg}, v={self.v!r})"
+
+    @property
+    def ndim(self) -> int:
+        return np.ndim(self.v)
+
+    def is_array(self) -> bool:
+        return type(self.v) is np.ndarray
+
+    def __bool__(self):
+        raise TypeError("the truth value of a traced leaf depends on the inputs")
+
+    __add__, __radd__ = _traced_binary(operator.add)
+    __sub__, __rsub__ = _traced_binary(operator.sub)
+    __mul__, __rmul__ = _traced_binary(operator.mul)
+    __truediv__, __rtruediv__ = _traced_binary(operator.truediv)
+    __pow__, __rpow__ = _traced_binary(operator.pow)
+    __matmul__, __rmatmul__ = _traced_binary(operator.matmul)
+
+    def __neg__(self):
+        return self.tape.call(operator.neg, self)
+
+    def __abs__(self):
+        return self.tape.call(abs, self)
+
+
+def lift(fn, *args):
+    """``fn(*args)`` on plain leaves, recorded as one operation when traced.
+
+    This is how non-arithmetic leaf functions (``math.sqrt``, numpy
+    reductions, ...) stay transparent to recording.
+    """
+    for a in args:
+        if type(a) is Traced:
+            return a.tape.call(fn, *args)
+    return fn(*args)
+
+
+def to_float(v):
+    """``float(v)``, recorded when ``v`` is traced (and free when it is one)."""
+    if type(v) is Traced:
+        return v if type(v.v) is float else v.tape.call(float, v)
+    return float(v)
+
+
+def _exact_float(t) -> bool:
+    # payloads that multiplying by 1.0 returns bit for bit, type included
+    v = t.v
+    return type(v) is float or type(v) is np.float64 or (
+        type(v) is np.ndarray and v.dtype == np.float64
+    )
+
+
+class ReplayError(RuntimeError):
+    """A program was replayed on inputs that do not match its recording."""
+
+
+# infix forms of the recorded operators; every other function is called
+_INFIX = {
+    operator.add: "{} + {}",
+    operator.sub: "{} - {}",
+    operator.mul: "{} * {}",
+    operator.truediv: "{} / {}",
+    operator.pow: "{} ** {}",
+    operator.matmul: "{} @ {}",
+    operator.neg: "-{}",
+}
+
+# generated functions stay this short, so compiling a large program costs
+# time and memory in proportion to its length
+_CHUNK_OPS = 200
+
+
+class Tape:
+    """The leaf operations of one recorded pass, in execution order.
+
+    Values live in virtual registers: one per input, per distinct constant
+    and per operation.  Identical operations on identical registers are
+    recorded once (every recorded function is pure), so a recursion that
+    re-derives the same quantity in several derivative contexts pays for
+    it once on replay.  Concrete values are held only as long as the
+    recorded computation itself holds them.
+    """
+
+    def __init__(self):
+        self._ops = []  # (fn, out register, argument registers)
+        self._inputs = []
+        self._consts = {}  # register -> constant value
+        self._const_reg = {}
+        self._memo = {}  # (fn, *argument registers) -> (register, weakref)
+        self._nreg = 0
+
+    def input(self, value) -> Traced:
+        t = Traced(self, self._nreg, value)
+        self._nreg += 1
+        self._inputs.append(t.reg)
+        return t
+
+    def _const(self, value) -> int:
+        tv = type(value)
+        if tv is float or tv is np.float64:
+            key = (tv, value, math.copysign(1.0, value))  # keeps -0.0 apart
+        elif tv is int:
+            key = (int, value)
+        else:
+            key = (id(value),)  # the tape holds the object, so the id is unique
+        reg = self._const_reg.get(key)
+        if reg is None:
+            reg = self._nreg
+            self._nreg += 1
+            self._const_reg[key] = reg
+            self._consts[reg] = value
+        return reg
+
+    def call(self, fn, *args) -> Traced:
+        """Record ``fn(*args)``; at least one argument is traced."""
+        if fn is operator.mul or fn is operator.truediv:
+            a, b = args
+            # x * 1.0 and x / 1.0 are x bit for bit: no operation
+            if type(b) is float and b == 1.0 and _exact_float(a):
+                return a
+            if fn is operator.mul and type(a) is float and a == 1.0 and _exact_float(b):
+                return b
+        regs = tuple([a.reg if type(a) is Traced else self._const(a) for a in args])
+        key = (fn,) + regs
+        hit = self._memo.get(key)
+        if hit is not None:
+            got = hit[1]()
+            if got is not None:
+                return got
+        v = fn(*[a.v if type(a) is Traced else a for a in args])
+        if hit is not None:
+            # recorded before, value since released: same register
+            out = Traced(self, hit[0], v)
+        else:
+            out = Traced(self, self._nreg, v)
+            self._nreg += 1
+            self._ops.append((fn, out.reg, regs))
+        self._memo[key] = (out.reg, weakref.ref(out))
+        return out
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+    def compile(self, *passes) -> tuple:
+        """Programs mapping the inputs to each of ``passes`` (nested tuples).
+
+        Passes nest: program i computes ``passes[i]`` and runs the
+        operations of passes 0..i, generated once and shared, so a pass
+        that extends another pays only for its extra operations.  Only
+        operations some output depends on are kept, and a register is
+        reused as soon as its last reader has run, so a replay holds no
+        more intermediate arrays at once than the live set requires.
+        """
+        out_regs = []
+
+        def leaves(node):
+            if type(node) is tuple or type(node) is list:
+                for e in node:
+                    leaves(e)
+            else:
+                out_regs.append(node.reg if type(node) is Traced else self._const(node))
+
+        # each pass adds the operations its outputs need beyond earlier passes
+        order = []
+        bounds = []
+        placed = set()
+        for outputs in passes:
+            leaves(outputs)
+            need = set(out_regs)
+            segment = []
+            for op in reversed(self._ops):
+                if op[1] in need and op[1] not in placed:
+                    segment.append(op)
+                    need.update(op[2])
+            segment.reverse()
+            order += segment
+            placed.update(op[1] for op in segment)
+            bounds.append(len(order))
+
+        used = set(out_regs)
+        for op in order:
+            used.update(op[2])
+        slot = {reg: i for i, reg in enumerate(self._inputs)}
+        init = [None] * len(slot)
+        for reg in sorted(used):
+            if reg in self._consts:
+                slot[reg] = len(init)
+                init.append(self._consts[reg])
+        n_fixed = len(init)
+        last_use = {}
+        for i, (_, _, args) in enumerate(order):
+            for a in args:
+                last_use[a] = i
+        for reg in out_regs:
+            last_use[reg] = len(order)
+
+        fns = {}
+        free = []
+        lines = []
+        for i, (fn, out, args) in enumerate(order):
+            refs = [f"r[{slot[a]}]" for a in args]
+            form = _INFIX.get(fn)
+            if form is not None:
+                expr = form.format(*refs)
+            else:
+                expr = f"F[{fns.setdefault(fn, len(fns))}]({', '.join(refs)})"
+            for a in set(args):
+                if last_use[a] == i and slot[a] >= n_fixed:
+                    free.append(slot[a])
+            if free:
+                slot[out] = free.pop()
+            else:
+                slot[out] = len(init)
+                init.append(None)
+            lines.append(f"    r[{slot[out]}] = {expr}")
+
+        def render(node):
+            if type(node) is tuple or type(node) is list:
+                return "(" + "".join(render(e) + ", " for e in node) + ")"
+            return f"r[{slot[node.reg if type(node) is Traced else self._const(node)]}]"
+
+        src = []
+        chunks = []  # per pass, the names of its own chunks
+        start = 0
+        for end in bounds:
+            names = []
+            for lo in range(start, end, _CHUNK_OPS):
+                names.append(f"_c{lo}")
+                src.append(f"def _c{lo}(r):\n" + "\n".join(lines[lo:min(end, lo + _CHUNK_OPS)]) + "\n")
+            chunks.append(names)
+            start = end
+        for i, outputs in enumerate(passes):
+            src.append(f"def _out{i}(r):\n    return {render(outputs)}\n")
+        namespace = {"F": tuple(fns)}
+        for part in src:  # one function at a time bounds the compiler's memory
+            exec(compile(part, "<recorded program>", "exec"), namespace)
+        programs = []
+        for i in range(len(passes)):
+            programs.append(Program(
+                init,
+                len(self._inputs),
+                tuple(namespace[c] for names in chunks[: i + 1] for c in names),
+                namespace[f"_out{i}"],
+                bounds[i],
+            ))
+        return tuple(programs)
+
+
+class Program:
+    """A compiled recording: plain floats and ndarrays in, outputs out.
+
+    Calls share no state, so one program may serve concurrent callers.
+    """
+
+    __slots__ = ("_init", "_n_inputs", "_chunks", "_out", "n_ops")
+
+    def __init__(self, init, n_inputs, chunks, out, n_ops):
+        self._init = init
+        self._n_inputs = n_inputs
+        self._chunks = chunks
+        self._out = out
+        self.n_ops = n_ops
+
+    def __call__(self, inputs):
+        if len(inputs) != self._n_inputs:
+            raise ReplayError(
+                f"program recorded for {self._n_inputs} inputs, got {len(inputs)}"
+            )
+        r = self._init[:]
+        r[: self._n_inputs] = inputs
+        for chunk in self._chunks:
+            chunk(r)
+        return self._out(r)

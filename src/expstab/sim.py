@@ -20,6 +20,12 @@ per-step monitors:
 * the gain argument of the unknown-direction controllers is checked to
   be non-decreasing with zero tolerance.
 
+A run that ends early keeps its cause in ``monitors["failure_reason"]``.
+Only numerical failures end a run: floating-point errors
+(``ArithmeticError``) and ``ValueError``, which the math module and the
+scalar laws raise on non-finite values.  Program errors (``TypeError``,
+``IndexError``, a fault replaying the engine's recording, ...) propagate.
+
 Recording is decimated by ``record_every`` (the final state is always
 recorded); monitors run on every accepted step regardless.
 """
@@ -396,6 +402,7 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     status = "completed"
     failure_time = None
+    failure_reason = None
     max_resid = 0.0
     xi_min_increment = math.inf
     xi_prev = None
@@ -457,6 +464,9 @@ def simulate(scenario: Scenario) -> Trajectory:
                     if r > resid_tol:
                         status = "residual-exceeded"
                         failure_time = t0
+                        failure_reason = (
+                            f"factorization residual {r:.3e} > tolerance {resid_tol:g}"
+                        )
                         raise _Abort
                 if step_count % every == 0:
                     record(t0, y, u1, ev1)
@@ -481,6 +491,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 if not ok:
                     status = "diverged"
                     failure_time = t1
+                    failure_reason = "state not finite or beyond 1e12 in magnitude"
                     raise _Abort
 
                 if has_aux and loop.aux_name == "xi":
@@ -492,26 +503,30 @@ def simulate(scenario: Scenario) -> Trajectory:
                     xi_prev = xi_new
     except _Abort:
         pass
-    except NussbaumOverflowError:
+    except NussbaumOverflowError as exc:
         status = "overflow"
         failure_time = t0
-    except (ValueError, OverflowError):
+        failure_reason = _cause(exc)
+    except (ArithmeticError, ValueError) as exc:
         # a violent blowup can overflow inside the stage arithmetic before
         # the per-step finiteness check sees it; same verdict either way
         status = "diverged"
         failure_time = t0
+        failure_reason = _cause(exc)
     else:
         # final accepted state
         t_end = float(segments[-1][-1])
         try:
             k_end, u_end, ev_end = rhs(t_end, y, t_end - 1e-12,
                                        diagnostics=resid_tol is not None)
-        except NussbaumOverflowError:
+        except NussbaumOverflowError as exc:
             status = "overflow"
             failure_time = t_end
-        except (ValueError, OverflowError):
+            failure_reason = _cause(exc)
+        except (ArithmeticError, ValueError) as exc:
             status = "diverged"
             failure_time = t_end
+            failure_reason = _cause(exc)
         else:
             if resid_tol is not None and ev_end.max_residual() > max_resid:
                 max_resid = ev_end.max_residual()
@@ -524,6 +539,7 @@ def simulate(scenario: Scenario) -> Trajectory:
             xi_min_increment if (has_aux and loop.aux_name == "xi") else None
         ),
         "steps": step_count,
+        "failure_reason": failure_reason,
     }
     meta = {
         "horizon_s": scenario.horizon,
@@ -554,6 +570,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 class _Abort(Exception):
     pass
+
+
+def _cause(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # -- persistence -----------------------------------------------------------
@@ -590,7 +610,8 @@ def export_npz(traj: Trajectory, path) -> None:
         failure_time=traj.failure_time,
         aux_name=traj.aux_name,
         monitors={
-            k: (None if v is None else float(v)) for k, v in traj.monitors.items()
+            k: (v if v is None or isinstance(v, str) else float(v))
+            for k, v in traj.monitors.items()
         },
         diag_keys=sorted(traj.diag.keys()),
     )

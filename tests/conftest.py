@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from expstab import BacksteppingEngine, GainConfig
 from expstab.scenarios import build_synthetic, build_wing_rock, wing_rock_model
@@ -44,3 +45,8 @@ def wr_short_t1():
     from expstab.sim import simulate
 
     return simulate(build_wing_rock("theorem1", horizon=2.0))
+
+
+# property tests draw the same examples on every run, and few of them
+settings.register_profile("expstab", derandomize=True, max_examples=20, deadline=None)
+settings.load_profile("expstab")

@@ -95,8 +95,8 @@ def test_engine_matches_standalone_factorization(wr_engine):
 
         def w2(z1, z2):
             # same map the engine factorizes: x1 = z1, x2 = z2 + alpha_1
-            # (the layer-1 helper works in any dual algebra)
-            a1 = wr_engine._layer1(z1, th, 1.0, False)[0]
+            # (the layer walk works in any dual algebra)
+            a1 = wr_engine._chain("x", 1, [z1], th, 1.0, want_alpha_m=True).alphas[0]
             return (z1, z2 + a1)
 
         res = factorize_line_integral(w2, z)

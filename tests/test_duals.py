@@ -110,3 +110,62 @@ def test_value_equals_plain_evaluation():
     pt = (0.3, 0.9)
     val, _ = value_and_gradient(f, pt)
     assert val == f(*pt)  # bit-identical: same arithmetic on the value lane
+
+
+# -- recording and replay -------------------------------------------------------
+
+
+def _record(f, *values):
+    from expstab.duals import Tape
+
+    tape = Tape()
+    leaves = [tape.input(v) for v in values]
+    return tape, tape.compile(f(*leaves))[0]
+
+
+def test_replay_matches_direct_evaluation_through_duals():
+    def f(x, y):
+        # derivative of a dual expression, recorded on plain leaves
+        val, (dx, dy) = value_and_gradient(lambda a, b: sin(a * b) / (1.0 + a * a) - b**2, (x, y))
+        return (val, dx, dy, exp(x) - 0.0, 2.0 - x * y, np.float64(0.5) / y, -x)
+
+    tape, prog = _record(f, 0.7, -1.3)
+    for pt in ((0.7, -1.3), (-2.0, 0.25), (0.0, 3.0)):
+        assert prog(pt) == f(*pt)  # bit-identical: the same leaf arithmetic
+    arr = (np.linspace(-1.0, 1.0, 5), np.full(5, 0.5))
+    got = prog(arr)
+    for g, w in zip(got, f(*arr)):
+        assert np.array_equal(g, w)
+
+
+def test_recording_merges_repeats_and_skips_unit_scaling():
+    from expstab.duals import Traced
+
+    tape, prog = _record(lambda x, y: (x * y + x * y, 1.0 * x, x / 1.0, y * 1.0), 2.0, 3.0)
+    assert len(tape) == 2  # one product, one sum
+    assert prog((2.0, 3.0)) == (12.0, 2.0, 2.0, 3.0)
+    assert prog.n_ops == 2
+    with pytest.raises(TypeError):
+        float(Traced(tape, 0, 1.0))
+    with pytest.raises(TypeError):
+        bool(Traced(tape, 0, 1.0))
+
+
+def test_replay_rejects_wrong_input_count():
+    from expstab.duals import ReplayError
+
+    _, prog = _record(lambda x, y: (x * y,), 2.0, 3.0)
+    with pytest.raises(ReplayError):
+        prog((1.0,))
+
+
+def test_unused_operations_are_dropped():
+    from expstab.duals import Tape
+
+    tape = Tape()
+    x, y = tape.input(1.5), tape.input(-0.5)
+    keep = x * y
+    drop = x - y  # noqa: F841 (recorded, never an output)
+    light, full = tape.compile((keep,), (keep, x + y))
+    assert (light.n_ops, full.n_ops) == (1, 2)
+    assert light((2.0, 4.0)) == (8.0,) and full((2.0, 4.0)) == (8.0, 6.0)

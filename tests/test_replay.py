@@ -1,0 +1,218 @@
+"""The recorded engine program against the dual recursion it was recorded from."""
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expstab import GainConfig, SystemModel
+from expstab import duals
+from expstab.backstepping import _FULL_FIELDS, _LIGHT, BacksteppingEngine
+from expstab.duals import Dual
+from expstab.scenarios import build_synthetic, build_wing_rock
+
+
+def _phi1(x1):
+    return (x1 * x1, 0.0)
+
+
+def _phi2(x1, x2):
+    return (x1 * x2, x2 * x2)
+
+
+def _phi3(x1, x2, x3):
+    return (x3 * x3, x1 * x3)
+
+
+def _phi4(x1, x2, x3, x4):
+    return (x4 * x4, x2 * x4)
+
+
+def _order4():
+    model = SystemModel(n=4, q=2, regressors=[_phi1, _phi2, _phi3, _phi4],
+                        theta_signal=lambda t: (0.1, -0.2), b_signal=lambda t: -1.0)
+    cfg = GainConfig(k=(1.0,) * 4, lam=0.3, delta_theta=0.1, eps_psi=1.0,
+                     Gamma=np.eye(2), quad_nodes=12)
+    return BacksteppingEngine(model, cfg)
+
+
+def _order1():
+    model = SystemModel(n=1, q=2, regressors=[lambda x1: (x1 * x1, x1)],
+                        theta_signal=lambda t: (0.1, -0.2), b_signal=lambda t: -1.0)
+    cfg = GainConfig(k=(1.0,), lam=0.3, delta_theta=0.1, eps_psi=1.0,
+                     Gamma=np.array([[1.0, 0.2], [0.2, 0.5]]))
+    return BacksteppingEngine(model, cfg)
+
+
+@pytest.fixture(scope="module")
+def engines():
+    wr = build_wing_rock("theorem1")
+    syn = build_synthetic("theorem1", seed=0)
+    return {
+        1: _order1(),
+        2: BacksteppingEngine(wr.model, wr.gains),
+        3: BacksteppingEngine(syn.model, syn.gains),
+        4: _order4(),
+    }
+
+
+def _fields(ev, names):
+    out = []
+    for name in names:
+        v = getattr(ev, name)
+        if name == "grad_alpha":
+            v = tuple((g.x, g.th, g.mu) for g in v)
+        out.append(v)
+    return tuple(out)
+
+
+def _assert_close(got, want, tol, path=()):
+    if type(want) is tuple:
+        assert type(got) is tuple and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, tol, path + (i,))
+    elif tol == 0.0:
+        assert got == want, (path, got, want)
+    else:
+        assert abs(got - want) <= tol * max(1.0, abs(want)), (path, got, want)
+
+
+_coord = st.one_of(st.just(0.0), st.floats(-1.2, 1.2))
+_estimate = st.one_of(st.just(0.0), st.floats(-0.8, 0.8))
+_mu = st.one_of(st.just(1.0), st.floats(0.5, 2.0))
+
+
+def _check_against_recursion(engine, x, th, mu):
+    want = engine._cascade(tuple(x), tuple(th), mu)
+    # A plain exact zero in theta_hat lets the recursion fold terms that
+    # the recording (valid at every estimate) keeps; a derivative that is
+    # constant along a ray is then integrated by quadrature rather than
+    # passed through, which moves the result by rounding only.
+    tol = 1e-12 if 0.0 in th else 0.0
+    full = engine.evaluate(0.3, x, th, mu=mu, diagnostics=True)
+    _assert_close(_fields(full, _FULL_FIELDS), want, tol)
+    light = engine.evaluate(0.3, x, th, mu=mu, diagnostics=False)
+    light_names = tuple(_FULL_FIELDS[i] for i in _LIGHT)
+    _assert_close(_fields(light, light_names), tuple(want[i] for i in _LIGHT), tol)
+    for name in set(_FULL_FIELDS) - set(light_names):
+        assert getattr(light, name) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_replay_equals_dual_recursion(engines, n, data):
+    engine = engines[n]
+    x = data.draw(st.lists(_coord, min_size=n, max_size=n))
+    th = data.draw(st.lists(_estimate, min_size=engine.q, max_size=engine.q))
+    _check_against_recursion(engine, x, th, data.draw(_mu))
+
+
+@settings(max_examples=4)
+@given(x=st.lists(_coord, min_size=4, max_size=4),
+       th=st.lists(_estimate, min_size=2, max_size=2), mu=_mu)
+def test_replay_equals_dual_recursion_order4(engines, x, th, mu):
+    _check_against_recursion(engines[4], x, th, mu)
+
+
+def test_second_evaluate_builds_no_dual(monkeypatch):
+    scn = build_synthetic("theorem2", seed=0)
+    engine = BacksteppingEngine(scn.model, scn.gains)
+    engine.evaluate(0.1, (0.3, -0.2, 0.4), (0.1, 0.0))  # records
+    made = []
+    orig_init = Dual.__init__
+
+    def counting_init(self, *args):
+        made.append(1)
+        orig_init(self, *args)
+
+    def no_tags():
+        raise AssertionError("a replay drew a derivative tag")
+
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    monkeypatch.setattr(duals, "fresh_tag", no_tags)
+    monkeypatch.setattr("expstab.backstepping.fresh_tag", no_tags)
+    for diagnostics in (True, False):
+        engine.evaluate(0.2, (0.5, 0.1, -0.3), (0.2, 0.1), diagnostics=diagnostics)
+    assert made == []
+
+
+def _snapshots(count):
+    rng = np.random.default_rng(31)
+    return [(float(rng.uniform(0, 1)), tuple(rng.uniform(-1, 1, size=3)),
+             tuple(rng.uniform(0, 0.5, size=2)), bool(k % 2)) for k in range(count)]
+
+
+def _in_threads(count, target):
+    """Run ``target(k)`` in ``count`` threads with a fine switch interval."""
+    errors = []
+
+    def guarded(k):
+        try:
+            target(k)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(k,)) for k in range(count)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+
+
+def test_concurrent_first_calls_match_single_thread():
+    # more threads than cores race the lazy recording of one fresh engine
+    scn = build_synthetic("theorem1", seed=0)
+    points = _snapshots(6)
+
+    def run(engine):
+        return repr([
+            _fields(engine.evaluate(t, x, th, diagnostics=d),
+                    ("z", "s", "kappa", "psi_bar", "theta_hat_dot"))
+            for t, x, th, d in points
+        ])
+
+    want = run(BacksteppingEngine(scn.model, scn.gains))
+    engine = BacksteppingEngine(scn.model, scn.gains)
+    barrier = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def worker(k):
+        barrier.wait()
+        got[k] = run(engine)
+
+    _in_threads(4, worker)
+    assert got == [want] * 4
+
+
+def test_fresh_tags_are_unique_across_threads():
+    drawn = [[] for _ in range(4)]
+
+    def worker(k):
+        for _ in range(5000):
+            drawn[k].append(duals.fresh_tag())
+
+    _in_threads(4, worker)
+    tags = [t for d in drawn for t in d]
+    assert len(tags) == 20000 and len(set(tags)) == len(tags)
+
+
+def test_order4_program_is_compiled_in_bounded_chunks(engines):
+    engine = engines[4]
+    ev = engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2), (0.1, 0.2))
+    assert math.isfinite(ev.kappa) and ev.max_residual() <= 1e-8
+    light, full = engine._programs
+    assert full.n_ops > 5000
+    # one generated function per bounded run of operations, never one huge one
+    assert len(full._chunks) >= full.n_ops / duals._CHUNK_OPS
+    assert light._chunks == full._chunks[: len(light._chunks)]

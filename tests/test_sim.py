@@ -213,3 +213,67 @@ def test_empty_trajectory_exports_header_only(tmp_path, short_run):
     assert lines[0].split(",")[0] == "t"
     data = load_csv(path)
     assert all(len(col) == 0 for col in data.values())
+
+
+# -- failure causes -----------------------------------------------------------
+
+
+def _wing_rock_with(**model_changes):
+    scn = build_wing_rock("theorem1", horizon=0.01)
+    return dataclasses.replace(scn, model=dataclasses.replace(scn.model, **model_changes))
+
+
+def test_completed_run_has_no_failure_reason():
+    traj = simulate(build_wing_rock("theorem1", horizon=0.002))
+    assert traj.completed and traj.monitors["failure_reason"] is None
+
+
+def test_numerical_failure_keeps_its_cause(tmp_path):
+    def theta_signal(t):
+        return (math.log(t - 1.0), 0.0)
+
+    traj = simulate(_wing_rock_with(theta_signal=theta_signal))
+    assert traj.status == "diverged" and traj.failure_time == 0.0
+    assert traj.monitors["failure_reason"] == "ValueError: math domain error"
+    export_npz(traj, tmp_path / "failed.npz")
+    assert load_npz(tmp_path / "failed.npz").monitors["failure_reason"] == (
+        "ValueError: math domain error")
+
+
+def test_divergence_by_the_state_check_says_so():
+    scn = build_scalar("scalar-B", a_nominal=8.0, a_deviation=3.0, x0=1e6,
+                       k=0.5, horizon=1.0, step=1e-3)
+    traj = simulate(scn)
+    assert traj.status == "diverged"
+    assert traj.monitors["failure_reason"]
+
+
+@pytest.mark.parametrize("change,error", [
+    (dict(b_signal=lambda t: None), TypeError),
+    (dict(theta_signal=lambda t: (1.0,)), IndexError),
+])
+def test_program_errors_propagate(change, error):
+    with pytest.raises(error):
+        simulate(_wing_rock_with(**change))
+
+
+def test_replay_fault_propagates(monkeypatch):
+    from expstab.backstepping import BacksteppingEngine
+    from expstab.duals import ReplayError
+
+    def faulty(*inputs):
+        raise ReplayError("recording does not fit")
+
+    monkeypatch.setattr(BacksteppingEngine, "_record",
+                        lambda self, x, th, mu: (faulty, faulty))
+    with pytest.raises(ReplayError):
+        simulate(build_wing_rock("theorem1", horizon=0.01))
+
+
+def test_regressor_with_surplus_component_is_rejected():
+    scn = build_wing_rock("theorem1", horizon=0.01)
+    regs = list(scn.model.regressors)
+    regs[1] = lambda x1, x2: (x1, x2, x1 * x2)
+    with pytest.raises(ValueError, match="phi_2 returns 3 components"):
+        simulate(dataclasses.replace(scn, model=dataclasses.replace(scn.model,
+                                                                    regressors=regs)))
