@@ -38,15 +38,22 @@ class EnvelopeFit:
 
     ``amplitude`` is the supremum of |x(t)| exp(rate t) over the recorded
     grid, so by construction the bound holds with equality at
-    ``attained_t``.  ``holds`` is False only when the trajectory did not
-    complete or produced non-finite values; with rate = 0 the fit
-    degenerates to the plain bound sup |x(t)|.
+    ``attained_t``; with rate = 0 the fit degenerates to the plain bound
+    sup |x(t)|.  Such an N exists for every finite record, so the decay
+    verdict compares thirds of the horizon instead: ``first_third`` and
+    ``last_third`` are the suprema of |x(t)| exp(rate t) over the first
+    and the last third, and ``holds`` is True only for a completed run
+    whose last-third supremum does not exceed its first-third one.  A
+    state decaying more slowly than ``rate`` grows in this scaling and
+    fails.
     """
 
     rate: float
     amplitude: float
     holds: bool
     attained_t: float
+    first_third: float
+    last_third: float
 
     def margin(self, t: np.ndarray, norms: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-self.rate * t) - norms
@@ -56,16 +63,22 @@ def fit_envelope(traj: Trajectory, rate: float) -> EnvelopeFit:
     """Fit the decay envelope of the state norm at the given rate."""
     if not traj.completed:
         return EnvelopeFit(rate=rate, amplitude=float("inf"), holds=False,
-                           attained_t=float("nan"))
-    norms = np.linalg.norm(traj.x, axis=1)
-    scaled = norms * np.exp(rate * traj.t)
+                           attained_t=float("nan"), first_third=float("nan"),
+                           last_third=float("nan"))
+    t = traj.t
+    scaled = np.linalg.norm(traj.x, axis=1) * np.exp(rate * t)
     idx = int(np.argmax(scaled))
     amplitude = float(scaled[idx])
+    third = (t[-1] - t[0]) / 3.0
+    first = float(np.max(scaled[t <= t[0] + third]))
+    last = float(np.max(scaled[t >= t[-1] - third]))
     return EnvelopeFit(
         rate=rate,
         amplitude=amplitude,
-        holds=bool(np.isfinite(amplitude)),
-        attained_t=float(traj.t[idx]),
+        holds=bool(np.isfinite(amplitude) and last <= first),
+        attained_t=float(t[idx]),
+        first_third=first,
+        last_third=last,
     )
 
 

@@ -213,6 +213,8 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
     lines += [
         f"steps:      {traj.monitors['steps']} (recorded {len(traj.t)})",
         f"horizon:    {traj.meta['horizon_s']} s at step {traj.meta['step_s']} s",
+        f"timing:     {traj.meta['wall_s']:.4g} s wall, "
+        f"{traj.meta['steps_per_s']:.6g} steps/s",
     ]
     fails = _monitor_failures(traj)
     if traj.completed:
@@ -221,6 +223,10 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
         lines.append(
             f"envelope:   |x(t)| <= {fit.amplitude:.6g} * exp(-{lam:g} t)"
             f" (tight at t={fit.attained_t:.4g})"
+        )
+        lines.append(
+            f"decay:      sup |x| exp({lam:g} t) {fit.first_third:.6g} on the first "
+            f"third, {fit.last_third:.6g} on the last ({'holds' if fit.holds else 'FAILS'})"
         )
         lines.append(f"settling:   |x1| < 0.05 after {settling_time(traj, 0.05):.4g} s")
         lines.append(f"peak input: {float(np.max(np.abs(traj.u))):.6g}")
@@ -249,19 +255,6 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
     return fails
 
 
-def _write_diagnostics_csv(traj: Trajectory, path: Path) -> None:
-    import csv as _csv
-
-    keys = sorted(traj.diag.keys())
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t"] + keys)
-        for r in range(len(traj.t)):
-            writer.writerow(
-                [repr(float(traj.t[r]))] + [repr(float(traj.diag[k][r])) for k in keys]
-            )
-
-
 def cmd_run(args) -> int:
     try:
         scn = _build_scenario(args, _parse_sets(args.set))
@@ -273,7 +266,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(scn)
     export_csv(traj, out_dir / "trajectory.csv")
-    _write_diagnostics_csv(traj, out_dir / "diagnostics.csv")
+    export_csv(traj, out_dir / "diagnostics.csv", columns=["t"] + sorted(traj.diag))
     fails = _write_report(traj, out_dir, args.quiet)
     if not traj.completed:
         print(

@@ -74,7 +74,27 @@ class NussbaumSpec:
 
 
 def nussbaum_value(spec: NussbaumSpec, xi):
-    """Evaluate N(xi) for scalar or array ``xi`` within [0, xi_max]."""
+    """Evaluate N(xi) for scalar or array ``xi`` within [0, xi_max].
+
+    A scalar (what the closed loops pass in every stage is a plain
+    ``float``) is checked and evaluated with the math module, without
+    numpy; a NaN passes both range checks and comes back as NaN.
+    """
+    if type(xi) is not float and np.ndim(xi) == 0:
+        xi = float(xi)
+    if type(xi) is float:
+        if xi < 0.0:
+            raise NussbaumDomainError(f"xi must be >= 0, got {xi}")
+        if xi > spec.xi_max:
+            raise NussbaumOverflowError(
+                f"xi = {xi:.6g} exceeds the safe evaluation bound xi_max = {spec.xi_max:.6g}"
+            )
+        x = spec.scale * xi
+        if spec.kind == "sin-exp-square":
+            return math.sin(x) * math.exp(x * x)
+        if spec.kind == "cos-exp-square":
+            return math.cos(x) * math.exp(x * x)
+        return float(spec.fn(x))
     arr = np.asarray(xi, dtype=float)
     lo = float(arr.min()) if arr.size else 0.0
     hi = float(arr.max()) if arr.size else 0.0
@@ -84,21 +104,12 @@ def nussbaum_value(spec: NussbaumSpec, xi):
         raise NussbaumOverflowError(
             f"xi = {hi:.6g} exceeds the safe evaluation bound xi_max = {spec.xi_max:.6g}"
         )
+    y = spec.scale * arr
     if spec.kind == "sin-exp-square":
-        if np.ndim(xi) == 0:
-            x = spec.scale * float(xi)
-            return math.sin(x) * math.exp(x * x)
-        y = spec.scale * arr
         return np.sin(y) * np.exp(y * y)
     if spec.kind == "cos-exp-square":
-        if np.ndim(xi) == 0:
-            x = spec.scale * float(xi)
-            return math.cos(x) * math.exp(x * x)
-        y = spec.scale * arr
         return np.cos(y) * np.exp(y * y)
-    if np.ndim(xi) == 0:
-        return float(spec.fn(spec.scale * float(xi)))
-    return np.asarray([spec.fn(spec.scale * float(v)) for v in arr], dtype=float)
+    return np.asarray([spec.fn(float(v)) for v in y], dtype=float)
 
 
 @dataclass

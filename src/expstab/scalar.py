@@ -12,10 +12,11 @@ These are the building blocks of the general recursion, kept standalone:
   ``b(t)`` (sign and magnitude) through a Nussbaum dynamic gain whose
   argument is kept non-decreasing by construction.
 
-Each law is a pure function of a state snapshot and the gains, returning
-the input together with the estimator (and gain-argument) rates, so the
-same functions serve both the closed-loop simulator and direct unit
-evaluation.
+Each design is one pure function of plain floats and the gains,
+``scalar_X_rates(x, a_hat, mu, s[, xi], gains)``, returning the input
+together with the estimator (and gain-argument) rates; the closed-loop
+simulator calls it in every Runge-Kutta stage.  ``scalar_X_law(state,
+gains)`` evaluates the same function at a :class:`ScalarState` snapshot.
 """
 
 from __future__ import annotations
@@ -26,7 +27,16 @@ from typing import Optional
 
 from .nussbaum import NussbaumSpec, nussbaum_value
 
-__all__ = ["ScalarState", "ScalarGains", "scalar_A_law", "scalar_B_law", "scalar_C_law"]
+__all__ = [
+    "ScalarState",
+    "ScalarGains",
+    "scalar_A_law",
+    "scalar_B_law",
+    "scalar_C_law",
+    "scalar_A_rates",
+    "scalar_B_rates",
+    "scalar_C_rates",
+]
 
 
 @dataclass(frozen=True)
@@ -68,43 +78,45 @@ class ScalarGains:
             raise ValueError("delta_a must be nonnegative")
 
 
-def _check_finite(state: ScalarState):
-    if not (math.isfinite(state.x) and math.isfinite(state.a_hat) and math.isfinite(state.s)):
-        raise ValueError(f"non-finite scalar state: {state}")
+def _at(x: float, a_hat: float, s: float) -> str:
+    return f"x={x!r}, a_hat={a_hat!r}, s={s!r}"
 
 
-def scalar_A_law(state: ScalarState, gains: ScalarGains):
+def _check_finite(x: float, a_hat: float, s: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(a_hat) and math.isfinite(s)):
+        raise ValueError(f"non-finite scalar state: {_at(x, a_hat, s)}")
+
+
+def scalar_A_rates(x: float, a_hat: float, mu: float, s: float, gains: ScalarGains):
     """Control and update rates for the constant-parameter design.
 
     u = -(k + lambda) x - a_hat x^2,  d(a_hat)/dt = gamma_a mu s x^2.
     """
-    _check_finite(state)
-    x = state.x
-    u = -(gains.k + gains.lam) * x - state.a_hat * x * x
-    a_hat_dot = gains.gamma_a * state.mu * state.s * x * x
+    _check_finite(x, a_hat, s)
+    u = -(gains.k + gains.lam) * x - a_hat * x * x
+    a_hat_dot = gains.gamma_a * mu * s * x * x
     if not (math.isfinite(u) and math.isfinite(a_hat_dot)):
-        raise ValueError(f"non-finite controller output at state {state}")
+        raise ValueError(f"non-finite controller output at {_at(x, a_hat, s)}")
     return u, a_hat_dot
 
 
-def scalar_B_law(state: ScalarState, gains: ScalarGains):
+def scalar_B_rates(x: float, a_hat: float, mu: float, s: float, gains: ScalarGains):
     """Time-varying-parameter design: A plus odd damping in delta_a.
 
     u = -(k + lambda) x - a_hat x^2 - (delta_a/2) x^3 - (delta_a/2) x.
     With delta_a = 0 this reduces exactly to controller A.
     """
-    _check_finite(state)
-    x = state.x
+    _check_finite(x, a_hat, s)
     half_delta = 0.5 * gains.delta_a
     u = (
         -(gains.k + gains.lam) * x
-        - state.a_hat * x * x
+        - a_hat * x * x
         - half_delta * x * x * x
         - half_delta * x
     )
-    a_hat_dot = gains.gamma_a * state.mu * state.s * x * x
+    a_hat_dot = gains.gamma_a * mu * s * x * x
     if not (math.isfinite(u) and math.isfinite(a_hat_dot)):
-        raise ValueError(f"non-finite controller output at state {state}")
+        raise ValueError(f"non-finite controller output at {_at(x, a_hat, s)}")
     return u, a_hat_dot
 
 
@@ -114,7 +126,8 @@ def scalar_kappa(a_hat: float, x: float, delta_a: float) -> float:
     return 0.5 * (ax * ax + 1.0) + 0.5 * delta_a * (x * x + 1.0)
 
 
-def scalar_C_law(state: ScalarState, gains: ScalarGains):
+def scalar_C_rates(x: float, a_hat: float, mu: float, s: float, xi: float,
+                   gains: ScalarGains):
     """Unknown-control-coefficient design with a Nussbaum dynamic gain.
 
     ubar = (k + lambda) x + kappa(a_hat, x) x
@@ -126,16 +139,30 @@ def scalar_C_law(state: ScalarState, gains: ScalarGains):
     floating-point evaluation exactly.  Evaluating N outside its safe
     range raises, failing the run loudly.
     """
-    _check_finite(state)
+    _check_finite(x, a_hat, s)
     if gains.nussbaum is None:
         raise ValueError("controller C requires a NussbaumSpec in the gains")
-    x = state.x
-    kap = scalar_kappa(state.a_hat, x, gains.delta_a)
+    kap = scalar_kappa(a_hat, x, gains.delta_a)
     total_gain = gains.k + gains.lam + kap
     ubar = total_gain * x
-    xi_dot = total_gain * state.s * state.s
-    u = nussbaum_value(gains.nussbaum, state.xi) * ubar
-    a_hat_dot = gains.gamma_a * state.mu * state.s * x * x
+    xi_dot = total_gain * s * s
+    u = nussbaum_value(gains.nussbaum, xi) * ubar
+    a_hat_dot = gains.gamma_a * mu * s * x * x
     if not (math.isfinite(u) and math.isfinite(a_hat_dot) and math.isfinite(xi_dot)):
-        raise ValueError(f"non-finite controller output at state {state}")
+        raise ValueError(f"non-finite controller output at {_at(x, a_hat, s)}")
     return u, a_hat_dot, xi_dot
+
+
+def scalar_A_law(state: ScalarState, gains: ScalarGains):
+    """:func:`scalar_A_rates` at a state snapshot."""
+    return scalar_A_rates(state.x, state.a_hat, state.mu, state.s, gains)
+
+
+def scalar_B_law(state: ScalarState, gains: ScalarGains):
+    """:func:`scalar_B_rates` at a state snapshot."""
+    return scalar_B_rates(state.x, state.a_hat, state.mu, state.s, gains)
+
+
+def scalar_C_law(state: ScalarState, gains: ScalarGains):
+    """:func:`scalar_C_rates` at a state snapshot."""
+    return scalar_C_rates(state.x, state.a_hat, state.mu, state.s, state.xi, gains)

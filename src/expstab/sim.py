@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,7 +49,15 @@ from .backstepping import (
 )
 from .model import ParameterBounds, SystemModel
 from .nussbaum import NussbaumOverflowError
-from .scalar import ScalarGains, ScalarState, scalar_A_law, scalar_B_law, scalar_C_law
+from .scalar import (  # noqa: F401  (the laws stay importable from here)
+    ScalarGains,
+    scalar_A_law,
+    scalar_A_rates,
+    scalar_B_law,
+    scalar_B_rates,
+    scalar_C_law,
+    scalar_C_rates,
+)
 
 __all__ = [
     "Scenario",
@@ -56,6 +65,7 @@ __all__ = [
     "ScenarioError",
     "simulate",
     "build_grid",
+    "rk4_step",
     "integrate_fixed",
     "export_csv",
     "export_npz",
@@ -210,27 +220,42 @@ def build_grid(horizon: float, step: float, breakpoints) -> tuple:
     return segments, n_steps
 
 
-def integrate_fixed(f, y0, grid, record=None):
+def rk4_step(f, t0: float, t1: float, y: tuple, k1: tuple, tp1: float) -> tuple:
+    """One classical RK4 step of ``y`` from ``t0`` to ``t1``.
+
+    ``f(t, y, tp)`` returns a tuple whose first item is dy/dt as a tuple;
+    ``tp`` is the time at which it queries the parameter signals.  The
+    caller passes the first stage ``k1`` (it evaluates it itself, with
+    diagnostics) and ``tp1``, the signal time of the last stage.
+    """
+    h = t1 - t0
+    h2 = 0.5 * h
+    tm = t0 + h2
+    k2 = f(tm, tuple([a + h2 * b for a, b in zip(y, k1)]), tm)[0]
+    k3 = f(tm, tuple([a + h2 * b for a, b in zip(y, k2)]), tm)[0]
+    k4 = f(t1, tuple([a + h * b for a, b in zip(y, k3)]), tp1)[0]
+    return tuple([
+        a + h * (b + 2.0 * (c + d) + e) / 6.0
+        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+    ])
+
+
+def integrate_fixed(f, y0, grid):
     """Classical RK4 over an explicit node array, for plain ODE tests.
 
-    ``f(t, y)`` maps a float and a tuple to a tuple.  Returns the array of
-    states at the nodes.
+    ``f(t, y)`` maps a float and a tuple to a tuple.  Takes the same steps
+    as :func:`simulate`.  Returns the array of states at the nodes.
     """
+    def stage(t, y, tp):
+        return (f(t, y),)
+
     y = tuple(float(v) for v in y0)
     out = np.empty((len(grid), len(y)))
     out[0] = y
     for i in range(1, len(grid)):
         t0 = float(grid[i - 1])
-        h = float(grid[i]) - t0
-        h2 = 0.5 * h
-        k1 = f(t0, y)
-        k2 = f(t0 + h2, tuple(a + h2 * b for a, b in zip(y, k1)))
-        k3 = f(t0 + h2, tuple(a + h2 * b for a, b in zip(y, k2)))
-        k4 = f(t0 + h, tuple(a + h * b for a, b in zip(y, k3)))
-        y = tuple(
-            a + h * (b + 2.0 * (c + d) + e) / 6.0
-            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        )
+        t1 = float(grid[i])
+        y = rk4_step(stage, t0, t1, y, f(t0, y), t1)
         out[i] = y
     return out
 
@@ -280,46 +305,62 @@ class _EngineLoop:
         return tuple(dx) + th_dot + (aux_dot,), u, ev
 
 
+_SCALAR_RATES = {
+    "scalar-A": scalar_A_rates,
+    "scalar-B": scalar_B_rates,
+    "scalar-C": scalar_C_rates,
+}
+
+
 class _ScalarLoop:
-    """RHS assembly for the first-order didactic controllers."""
+    """RHS assembly for the first-order didactic controllers.
+
+    Everything the right-hand side needs is bound once per run, and the
+    stages run on plain floats through the design's rates function.
+    """
 
     def __init__(self, scn: Scenario):
-        self.model = scn.model
-        self.gains = scn.gains
-        self.kind = scn.controller
-        self.lam = scn.gains.lam
+        gains = scn.gains
+        lam = gains.lam
+        self.lam = lam
         self.aux_name = "xi" if scn.controller == "scalar-C" else None
         y0 = (float(scn.x0[0]), float(scn.a_hat0))
         if scn.controller == "scalar-C":
             y0 += (float(scn.xi0),)
         self.y0 = y0
 
-    def rhs(self, t, y, tp, diagnostics=False):
-        x = y[0]
-        a_hat = y[1]
-        mu = math.exp(self.lam * t)
-        s = mu * x
-        state = ScalarState(x=x, a_hat=a_hat, t=t, mu=mu, s=s,
-                            xi=y[2] if self.kind == "scalar-C" else 0.0)
-        if self.kind == "scalar-A":
-            u, a_dot = scalar_A_law(state, self.gains)
-            est = (a_dot,)
-        elif self.kind == "scalar-B":
-            u, a_dot = scalar_B_law(state, self.gains)
-            est = (a_dot,)
+        rates = _SCALAR_RATES[scn.controller]
+        theta_signal = scn.model.theta_signal
+        b_signal = scn.model.b_signal
+        regressor = scn.model.regressors[0]
+        components = range(scn.model.q)
+        exp = math.exp
+
+        def plant(x, u, tp):
+            theta_t = theta_signal(tp)
+            acc = float(b_signal(tp)) * u
+            phi = regressor(x)
+            for c in components:
+                pc = phi[c]
+                if type(pc) is float and pc == 0.0:
+                    continue
+                acc += pc * float(theta_t[c])
+            return acc
+
+        if scn.controller == "scalar-C":
+            def rhs(t, y, tp, diagnostics=False):
+                x, a_hat, xi = y
+                mu = exp(lam * t)
+                u, a_dot, xi_dot = rates(x, a_hat, mu, mu * x, xi, gains)
+                return (plant(x, u, tp), a_dot, xi_dot), u, None
         else:
-            u, a_dot, xi_dot = scalar_C_law(state, self.gains)
-            est = (a_dot, xi_dot)
-        theta_t = self.model.theta_signal(tp)
-        b_t = float(self.model.b_signal(tp))
-        phi = self.model.regressors[0](x)
-        acc = b_t * u
-        for c in range(self.model.q):
-            pc = phi[c]
-            if type(pc) is float and pc == 0.0:
-                continue
-            acc += pc * float(theta_t[c])
-        return (acc,) + est, u, state
+            def rhs(t, y, tp, diagnostics=False):
+                x, a_hat = y
+                mu = exp(lam * t)
+                u, a_dot = rates(x, a_hat, mu, mu * x, gains)
+                return (plant(x, u, tp), a_dot), u, None
+
+        self.rhs = rhs
 
 
 def _energy_fn(scn: Scenario):
@@ -364,7 +405,12 @@ def _energy_fn(scn: Scenario):
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Run a scenario to its horizon (or to a guard event) and record it."""
+    """Run a scenario to its horizon (or to a guard event) and record it.
+
+    ``meta["wall_s"]`` is the wall time of the call and
+    ``meta["steps_per_s"]`` the accepted steps per second of it.
+    """
+    started = time.perf_counter()
     scenario.validate()
     model = scenario.model
     segments, n_steps = build_grid(
@@ -380,6 +426,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         resid_tol = None
         q = 1  # scalar estimate recorded in the theta_hat block
     rhs = loop.rhs
+    diagnostics = resid_tol is not None
     n = model.n
     energy = _energy_fn(scenario)
 
@@ -445,17 +492,14 @@ def simulate(scenario: Scenario) -> Trajectory:
             for i in range(1, len(seg)):
                 t0 = float(seg[i - 1])
                 t1 = float(seg[i])
-                h = t1 - t0
-                h2 = 0.5 * h
-                tm = t0 + h2
                 # final stage of the last step in a segment queries the
                 # signals just inside the segment, keeping one smooth
                 # branch per step; the nudge must exceed the boundary
                 # snap tolerance of the canned square-wave signals while
                 # staying far below the integration error
-                tp1 = t1 - h * 1e-6 if t1 == seg_end else t1
+                tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
 
-                k1, u1, ev1 = rhs(t0, y, t0, diagnostics=resid_tol is not None)
+                k1, u1, ev1 = rhs(t0, y, t0, diagnostics=diagnostics)
 
                 if resid_tol is not None:
                     r = ev1.max_residual()
@@ -471,16 +515,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 if step_count % every == 0:
                     record(t0, y, u1, ev1)
 
-                y2 = tuple(a + h2 * b for a, b in zip(y, k1))
-                k2, _, _ = rhs(tm, y2, tm)
-                y3 = tuple(a + h2 * b for a, b in zip(y, k2))
-                k3, _, _ = rhs(tm, y3, tm)
-                y4 = tuple(a + h * b for a, b in zip(y, k3))
-                k4, _, _ = rhs(t1, y4, tp1)
-                y = tuple(
-                    a + h * (b + 2.0 * (c + d) + e) / 6.0
-                    for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-                )
+                y = rk4_step(rhs, t0, t1, y, k1, tp1)
                 step_count += 1
 
                 ok = True
@@ -518,7 +553,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         t_end = float(segments[-1][-1])
         try:
             k_end, u_end, ev_end = rhs(t_end, y, t_end - 1e-12,
-                                       diagnostics=resid_tol is not None)
+                                       diagnostics=diagnostics)
         except NussbaumOverflowError as exc:
             status = "overflow"
             failure_time = t_end
@@ -541,12 +576,15 @@ def simulate(scenario: Scenario) -> Trajectory:
         "steps": step_count,
         "failure_reason": failure_reason,
     }
+    wall = time.perf_counter() - started
     meta = {
         "horizon_s": scenario.horizon,
         "step_s": scenario.step,
         "record_every": every,
         "lam": lam,
         "schema": "expstab-trajectory-v1",
+        "wall_s": wall,
+        "steps_per_s": step_count / wall,
     }
 
     return Trajectory(
@@ -579,15 +617,24 @@ def _cause(exc: BaseException) -> str:
 # -- persistence -----------------------------------------------------------
 
 
-def export_csv(traj: Trajectory, path) -> None:
-    """One row per recorded step; floats via repr so reload is exact."""
+def export_csv(traj: Trajectory, path, columns=None) -> None:
+    """One row per recorded step; floats via repr so reload is exact.
+
+    ``columns`` selects and orders named columns (default: all of
+    :meth:`Trajectory.column_names`).
+    """
     names = traj.column_names()
     cols = traj.column_data()
+    if columns is not None:
+        picked = [names.index(name) for name in columns]
+        names = [names[i] for i in picked]
+        cols = [cols[i] for i in picked]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for r in range(len(traj.t)):
-            writer.writerow([repr(float(c[r])) for c in cols])
+        # one row of Python floats at a time; csv writes a float as its repr
+        table = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+        writer.writerows(row.tolist() for row in table)
 
 
 def load_csv(path) -> dict:
@@ -650,6 +697,8 @@ def load_npz(path) -> Trajectory:
             monitors=meta["monitors"],
             meta={
                 k: meta[k]
-                for k in ("horizon_s", "step_s", "record_every", "lam", "schema")
+                for k in ("horizon_s", "step_s", "record_every", "lam", "schema",
+                          "wall_s", "steps_per_s")
+                if k in meta
             },
         )

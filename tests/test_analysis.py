@@ -70,6 +70,15 @@ def test_envelope_bound_is_tight_and_valid():
     assert np.min(margins) < 1e-12  # attained somewhere
 
 
+def test_slower_decay_fails_the_faster_rate():
+    t = np.linspace(0.0, 10.0, 1001)
+    traj = _toy_trajectory(t, 1.5 * np.exp(-0.3 * t))
+    fit = fit_envelope(traj, rate=0.6)
+    assert not fit.holds
+    assert fit.last_third > fit.first_third
+    assert fit_envelope(traj, rate=0.25).holds
+
+
 def test_envelope_invalid_for_failed_run():
     t = np.linspace(0.0, 1.0, 11)
     traj = _toy_trajectory(t, np.ones_like(t))

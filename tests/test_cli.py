@@ -16,8 +16,13 @@ def test_run_writes_artifacts(tmp_path):
     assert (out / "diagnostics.csv").exists()
     report = (out / "report.txt").read_text()
     assert "status:     completed" in report
+    assert "timing:" in report
+    assert "decay:" in report and "(holds)" in report
     data = load_csv(out / "trajectory.csv")
     assert data["t"][-1] == 2.0
+    diag = load_csv(out / "diagnostics.csv")
+    assert list(diag) == ["t", "kappa"]
+    assert np.array_equal(diag["t"], data["t"])
 
 
 def test_run_with_override_reproduces_baseline(tmp_path):

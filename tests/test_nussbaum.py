@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expstab.nussbaum import (
     NussbaumDomainError,
@@ -48,6 +50,44 @@ def test_vectorized_evaluation_matches_scalar():
     vec = nussbaum_value(spec, xs)
     for x, v in zip(xs, vec):
         assert v == nussbaum_value(spec, float(x))
+
+
+_SPECS = (
+    NussbaumSpec(kind="sin-exp-square"),
+    NussbaumSpec(kind="cos-exp-square", scale=0.25, xi_max=30.0),
+    NussbaumSpec(kind="user", fn=lambda v: v * math.sin(3.0 * v) - 0.5, scale=1.7),
+)
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: s.kind)
+@given(xi=st.floats(0.0, 30.0))
+def test_float_path_matches_array_path_bit_for_bit(spec, xi):
+    if xi > spec.xi_max:
+        with pytest.raises(NussbaumOverflowError):
+            nussbaum_value(spec, xi)
+        with pytest.raises(NussbaumOverflowError):
+            nussbaum_value(spec, np.asarray([xi]))
+        return
+    got = nussbaum_value(spec, xi)
+    assert type(got) is float
+    assert float.hex(got) == float.hex(float(nussbaum_value(spec, np.asarray([xi]))[0]))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: s.kind)
+@given(below=st.floats(-1e300, -1e-300), above=st.floats(1e-12, 1e300))
+def test_float_path_raises_as_the_array_path(spec, below, above):
+    for xi, error in ((below, NussbaumDomainError),
+                      (spec.xi_max + above * spec.xi_max, NussbaumOverflowError)):
+        with pytest.raises(error):
+            nussbaum_value(spec, xi)
+        with pytest.raises(error):
+            nussbaum_value(spec, np.asarray([xi]))
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: s.kind)
+def test_nan_passes_through_both_paths(spec):
+    assert math.isnan(nussbaum_value(spec, math.nan))
+    assert np.isnan(nussbaum_value(spec, np.asarray([math.nan]))[0])
 
 
 def test_spec_validation():

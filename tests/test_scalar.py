@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expstab import NussbaumSpec, ScalarGains, ScalarState
 from expstab.analysis import check_monotone, detect_limit, fit_envelope
-from expstab.scalar import scalar_A_law, scalar_B_law, scalar_C_law, scalar_kappa
+from expstab.scalar import (
+    scalar_A_law,
+    scalar_A_rates,
+    scalar_B_law,
+    scalar_B_rates,
+    scalar_C_law,
+    scalar_C_rates,
+    scalar_kappa,
+)
 from expstab.scenarios import build_scalar
 from expstab.sim import simulate
 
@@ -134,6 +144,39 @@ def test_gain_validation():
         ScalarGains(k=1.0, lam=-0.1, gamma_a=1.0)
     with pytest.raises(ValueError):
         ScalarGains(k=1.0, lam=0.0, gamma_a=1.0, delta_a=-1.0)
+
+
+# -- laws against their float kernels ----------------------------------
+
+
+def _outcome(fn, *args):
+    """Rates as exact bit patterns, or the exception type and message."""
+    try:
+        return tuple(float.hex(v) for v in fn(*args))
+    except Exception as exc:  # the comparison is of the failure itself
+        return type(exc), str(exc)
+
+
+# exact zeros of both signs, moderate values and magnitudes whose powers
+# overflow, so the finiteness checks fire on both sides too
+_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-10.0, 10.0),
+                    st.floats(allow_nan=True, allow_infinity=True))
+_GAINS = ScalarGains(k=1.3, lam=0.6, gamma_a=0.7, delta_a=0.45,
+                     nussbaum=NussbaumSpec(kind="cos-exp-square", scale=0.25,
+                                           xi_max=30.0))
+
+
+@given(x=_values, a_hat=_values, mu=_values, s=_values,
+       xi=st.one_of(st.floats(0.0, 30.0), _values))
+def test_laws_equal_their_kernels_bit_for_bit(x, a_hat, mu, s, xi):
+    state = ScalarState(x=x, a_hat=a_hat, t=0.0, mu=mu, s=s, xi=xi)
+    assert _outcome(scalar_A_law, state, _GAINS) == _outcome(
+        scalar_A_rates, x, a_hat, mu, s, _GAINS)
+    assert _outcome(scalar_B_law, state, _GAINS) == _outcome(
+        scalar_B_rates, x, a_hat, mu, s, _GAINS)
+    assert _outcome(scalar_C_law, state, _GAINS) == _outcome(
+        scalar_C_rates, x, a_hat, mu, s, xi, _GAINS)
 
 
 # -- closed loops --------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expstab import SystemModel
 from expstab.scalar import ScalarGains
@@ -184,6 +186,23 @@ def test_npz_round_trip_bit_exact(tmp_path, short_run):
     for k in short_run.diag:
         assert np.array_equal(back.diag[k], short_run.diag[k])
     assert back.meta["schema"] == "expstab-trajectory-v1"
+    assert back.meta == short_run.meta  # timing included
+
+
+def test_run_timing_in_meta(short_run):
+    wall = short_run.meta["wall_s"]
+    assert wall > 0.0
+    assert short_run.meta["steps_per_s"] == short_run.monitors["steps"] / wall
+
+
+def test_csv_column_selection(tmp_path, short_run):
+    path = tmp_path / "diag.csv"
+    export_csv(short_run, path, columns=["t", "resid_psi", "kappa"])
+    data = load_csv(path)
+    assert list(data) == ["t", "resid_psi", "kappa"]
+    assert np.array_equal(data["t"], short_run.t)
+    assert np.array_equal(data["kappa"], short_run.diag["kappa"])
+    assert np.array_equal(data["resid_psi"], short_run.diag["resid_psi"])
 
 
 def test_step_halving_short_horizon_consistency():
@@ -246,6 +265,32 @@ def test_divergence_by_the_state_check_says_so():
     traj = simulate(scn)
     assert traj.status == "diverged"
     assert traj.monitors["failure_reason"]
+
+
+@given(controller=st.sampled_from(["scalar-A", "scalar-B", "scalar-C"]),
+       where=st.sampled_from(["x0", "a_hat0", "theta"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       t_bad=st.floats(0.0, 0.02))
+def test_non_finite_scalar_state_ends_run_as_diverged(controller, where, value, t_bad):
+    scn = build_scalar(controller, a_nominal=1.0, a_deviation=0.3, x0=0.8,
+                       b_value=-1.5 if controller == "scalar-C" else 1.0,
+                       horizon=0.03, step=1e-3)
+    if where == "theta":
+        def theta_signal(t):
+            return (value if t >= t_bad else 1.0,)
+        scn = dataclasses.replace(
+            scn, model=dataclasses.replace(scn.model, theta_signal=theta_signal))
+    elif where == "x0":
+        scn = dataclasses.replace(scn, x0=np.asarray([value]))
+    else:
+        scn = dataclasses.replace(scn, a_hat0=value)
+    traj = simulate(scn)
+    assert traj.status == "diverged"
+    # a stage rejects the state, or the per-step check the accepted one
+    assert traj.monitors["failure_reason"].startswith(
+        ("ValueError: non-finite scalar state", "state not finite"))
+    assert traj.failure_time <= (t_bad + scn.step if where == "theta" else 0.0)
+    assert np.all(np.isfinite(traj.x))
 
 
 @pytest.mark.parametrize("change,error", [
