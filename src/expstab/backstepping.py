@@ -33,12 +33,18 @@ records the whole cascade once, on its first evaluation, by pushing
 traced leaves (:class:`expstab.duals.Traced`) for x, theta_hat and mu
 through it; every later evaluation replays the recorded straight-line
 float and array program.  Control flow in the recursion depends only on
-types, shapes and literal zeros (dual numbers and traced leaves support
-no comparisons, and a traced leaf is never an exact float zero), so the
-recording is valid at every state.  The replay computes each quantity
-the nested derivative contexts re-derive only once, keeps only the
-operations an output depends on (the diagnostics-light pass drops the
-layer matrices, residuals and records), and builds no dual at all.
+types and shapes (dual numbers and traced leaves support no comparisons),
+so the recording is valid at every state.  The recursion writes every
+term of the laws, and tests none for zero: terms that are structurally
+absent (a regressor component that is a literal ``0.0``, an off-diagonal
+adaptation gain, a dead sensitivity direction) fold away in
+:mod:`expstab.duals`, in the dual algebra and on the tape alike, and
+cost neither arithmetic nor recorded operations.  A traced leaf is never
+a literal zero, so no fold depends on the state.  The replay computes
+each quantity the nested derivative contexts re-derive only once, keeps
+only the operations an output depends on (the diagnostics-light pass
+drops the layer matrices, residuals and records), and builds no dual at
+all.
 """
 
 from __future__ import annotations
@@ -88,14 +94,6 @@ class FactorizationError(RuntimeError):
 
 def _is_zero(v) -> bool:
     return type(v) is float and v == 0.0
-
-
-def _all_zero(tup) -> bool:
-    for e in tup:
-        if type(e) is float and e == 0.0:
-            continue
-        return False
-    return True
 
 
 def _is_array(v) -> bool:
@@ -157,18 +155,23 @@ class GainConfig:
     scaled: bool = True
 
     def __post_init__(self):
-        if len(self.k) < 1 or any(not kk > 0.0 for kk in self.k):
-            raise ValueError(f"all layer gains must be positive, got k={self.k}")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        if self.delta_theta < 0.0:
-            raise ValueError("delta_theta must be nonnegative")
-        if not self.eps_psi > 0.0:
-            raise ValueError("eps_psi must be positive")
+        # chained comparisons are false for NaN, so NaN fails every check
+        if len(self.k) < 1 or any(not 0.0 < kk < math.inf for kk in self.k):
+            raise ValueError(f"all layer gains must be positive and finite, got k={self.k}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not 0.0 <= self.delta_theta < math.inf:
+            raise ValueError(
+                f"delta_theta must be finite and nonnegative, got {self.delta_theta}"
+            )
+        if not 0.0 < self.eps_psi < math.inf:
+            raise ValueError(f"eps_psi must be positive and finite, got {self.eps_psi}")
         if self.sign_b not in (-1, 1):
             raise ValueError("sign_b must be -1 or +1")
-        if not self.gamma_rho > 0.0:
-            raise ValueError("gamma_rho must be positive")
+        if not 0.0 < self.gamma_rho < math.inf:
+            raise ValueError(
+                f"gamma_rho must be positive and finite, got {self.gamma_rho}"
+            )
         if self.quad_nodes < 1:
             raise ValueError("quad_nodes must be >= 1")
         if not self.scaled and self.lam != 0.0:
@@ -193,17 +196,18 @@ class GradParts:
 
 
 class _Cascade:
-    """Layer products of one chain walk, with lazy scaled quantities.
+    """Layer products of one chain walk, with memoized tuning functions.
 
-    ``ms(j)`` is mu^2 z_j (the factor entering tuning functions) and
-    ``tau(j)`` the cumulative tuning function, both memoized and only
-    formed when an expression actually consumes them: whole branches of
-    the laws vanish for structurally sparse plants, and the zeros
-    propagate here instead of costing arithmetic.
+    ``tau(j)`` is the cumulative tuning function of layers 1..j, formed
+    when an expression first consumes it; ``ms[j-1]`` = mu^2 z_j, the
+    factor it scales w_j by, is kept from that pass for the coupling
+    terms.  Literal zeros (absent regressor components, dead sensitivity
+    directions) fold in :mod:`expstab.duals`, so the terms they make
+    absent cost no arithmetic here.
     """
 
     __slots__ = ("xs", "zs", "phis", "ws", "alphas", "galphas", "zetas",
-                 "rays", "q", "_mu2", "_ms", "_tau")
+                 "rays", "ms", "_mu2", "_tau")
 
     def __init__(self, q, mu2):
         self.xs = []
@@ -214,34 +218,18 @@ class _Cascade:
         self.galphas = []
         self.zetas = []
         self.rays = []
-        self.q = q
+        self.ms = []
         self._mu2 = mu2
-        self._ms = []
         self._tau = [(0.0,) * q]
 
-    def ms(self, j: int):
-        v = self._ms[j - 1]
-        if v is None:
-            z = self.zs[j - 1]
-            v = z if self._mu2 is None else self._mu2 * z
-            self._ms[j - 1] = v
-        return v
-
     def tau(self, j: int) -> tuple:
-        have = len(self._tau) - 1
-        while have < j:
-            have += 1
-            prev = self._tau[have - 1]
-            w = self.ws[have - 1]
-            m = self.ms(have)
-            self._tau.append(
-                tuple(
-                    tp if _is_zero(wc)
-                    else (wc * m if _is_zero(tp) else tp + wc * m)
-                    for tp, wc in zip(prev, w)
-                )
-            )
-        return self._tau[j]
+        taus = self._tau
+        while len(taus) <= j:
+            layer = len(taus)
+            m = self._mu2 * self.zs[layer - 1]
+            self.ms.append(m)
+            taus.append(tuple([tp + wc * m for tp, wc in zip(taus[-1], self.ws[layer - 1])]))
+        return taus[j]
 
 
 class EngineEval:
@@ -388,24 +376,11 @@ class BacksteppingEngine:
     def _dot(a, b):
         acc = 0.0
         for x, y in zip(a, b):
-            if (type(x) is float and x == 0.0) or (type(y) is float and y == 0.0):
-                continue
-            term = x * y
-            acc = term if _is_zero(acc) else acc + term
+            acc = acc + x * y
         return acc
 
     def _gamma_vec(self, v) -> tuple:
-        # Gamma @ v with exact-zero skipping (Gamma is often diagonal)
-        out = []
-        for row in self._gamma_rows:
-            acc = 0.0
-            for g, vc in zip(row, v):
-                if g == 0.0 or (type(vc) is float and vc == 0.0):
-                    continue
-                term = g * vc
-                acc = term if _is_zero(acc) else acc + term
-            out.append(acc)
-        return tuple(out)
+        return tuple([self._dot(row, v) for row in self._gamma_rows])
 
     def _contract(self, obj):
         # integral over sigma of one sensitivity entry; constants along
@@ -414,7 +389,7 @@ class BacksteppingEngine:
             return Dual(
                 obj.tag,
                 self._contract(obj.val),
-                tuple(0.0 if _is_zero(e) else self._contract(e) for e in obj.eps),
+                tuple([self._contract(e) for e in obj.eps]),
             )
         if _is_array(obj):
             return lift(_weighted_sum, self._weights, obj)
@@ -434,8 +409,7 @@ class BacksteppingEngine:
         n = self.n
         q = self.q
         alpha_upto = min(m if want_alpha_m else m - 1, n - 1)
-        mu_trivial = type(mu) is float and mu == 1.0
-        cc = _Cascade(q, None if mu_trivial else mu * mu)
+        cc = _Cascade(q, mu * mu)
         from_x = mode == "x"
 
         xs = cc.xs
@@ -448,10 +422,7 @@ class BacksteppingEngine:
 
         for j in range(1, m + 1):
             comp = vec[j - 1]
-            if _is_zero(alpha_prev):
-                x_j = comp
-                z_j = comp
-            elif from_x:
+            if from_x:
                 x_j = comp
                 z_j = comp - alpha_prev
             else:
@@ -459,27 +430,14 @@ class BacksteppingEngine:
                 x_j = comp + alpha_prev
             xs.append(x_j)
             zs.append(z_j)
-            cc._ms.append(None)
 
             phi_j = self._phi(j, xs)
             phis.append(phi_j)
 
-            if j == 1:
-                w_j = phi_j
-            else:
-                w_list = list(phi_j)
-                gx = galpha_prev.x
-                for l in range(j - 1):
-                    gxl = gx[l]
-                    if _is_zero(gxl):
-                        continue
-                    phi_l = phis[l]
-                    for c in range(q):
-                        pc = phi_l[c]
-                        if _is_zero(pc):
-                            continue
-                        w_list[c] = w_list[c] - gxl * pc
-                w_j = tuple(w_list)
+            w_j = phi_j
+            for l in range(j - 1):
+                gxl = galpha_prev.x[l]
+                w_j = tuple([wc - gxl * pc for wc, pc in zip(w_j, phis[l])])
             ws.append(w_j)
 
             if j <= alpha_upto:
@@ -501,34 +459,17 @@ class BacksteppingEngine:
 
     def _alpha_expr(self, j, zeta_j, cc: _Cascade, th, mu, galpha_prev):
         """The virtual law of layer j from already-evaluated ingredients."""
-        a = -(self._k[j - 1] + zeta_j) * cc.zs[j - 1]
-        d = self._dot(cc.ws[j - 1], th)
-        if not _is_zero(d):
-            a = a - d
+        a = -(self._k[j - 1] + zeta_j) * cc.zs[j - 1] - self._dot(cc.ws[j - 1], th)
         if j >= 2:
-            a = a - cc.zs[j - 2]
             gp = galpha_prev
-            if not _all_zero(gp.th):
-                gt = self._dot(gp.th, self._gamma_vec(cc.tau(j)))
-                if not _is_zero(gt):
-                    a = a + gt
+            a = a - cc.zs[j - 2] + self._dot(gp.th, self._gamma_vec(cc.tau(j)))
             w_j = cc.ws[j - 1]
             for l in range(2, j):  # coupling through the lower estimators
-                glth = cc.galphas[l - 2].th
-                if _all_zero(glth):
-                    continue
-                gl = self._dot(glth, self._gamma_vec(w_j))
-                if _is_zero(gl):
-                    continue
-                a = a + cc.ms(l) * gl
-            xs = cc.xs
+                gl = self._dot(cc.galphas[l - 2].th, self._gamma_vec(w_j))
+                a = a + cc.ms[l - 1] * gl
             for l in range(1, j):
-                gxl = gp.x[l - 1]
-                if _is_zero(gxl):
-                    continue
-                a = a + gxl * xs[l]
-            if not _is_zero(gp.mu) and self._lam != 0.0:
-                a = a + gp.mu * (self._lam * mu)
+                a = a + gp.x[l - 1] * cc.xs[l]
+            a = a + gp.mu * (self._lam * mu)
         return a
 
     def _alpha_with_grad(self, j, xs, th, mu):
@@ -592,10 +533,7 @@ class BacksteppingEngine:
         frob = 0.0
         for wrow in W:
             for e in wrow:
-                if _is_zero(e):
-                    continue
-                sq = e * e
-                frob = sq if _is_zero(frob) else frob + sq
+                frob = frob + e * e
 
         ray = {"W": W, "W_frob_sq": frob, "zbar": zbar, "w": w_m}
         if want_psi:
@@ -609,10 +547,7 @@ class BacksteppingEngine:
 
     def _ray_diagnostics(self, ray: dict):
         """Plain W, |W|_F^2 and the residual |w - W^T zbar| of one ray."""
-        W = tuple(
-            tuple(0.0 if _is_zero(e) else to_float(value_of(e)) for e in row)
-            for row in ray["W"]
-        )
+        W = tuple(tuple([to_float(value_of(e)) for e in row]) for row in ray["W"])
         zb = tuple(_plain(z) for z in ray["zbar"])
         w_base = tuple(_plain(c) for c in ray["w"])
         resid_sq = 0.0
@@ -629,29 +564,14 @@ class BacksteppingEngine:
         w_n = cc.ws[n - 1]
         p = self._dot(w_n, th)
         if n >= 2:
-            z_prev = cc.zs[n - 2]
-            p = z_prev if _is_zero(p) else p + z_prev
+            p = p + cc.zs[n - 2]
             g = cc.galphas[n - 2]
-            xs = cc.xs
             for i in range(1, n):
-                gxi = g.x[i - 1]
-                if _is_zero(gxi):
-                    continue
-                p = p - gxi * xs[i]
-            if not _all_zero(g.th):
-                gt = self._dot(g.th, cc.tau(n))
-                if not _is_zero(gt):
-                    p = p - gt
-            if not _is_zero(g.mu) and self._lam != 0.0:
-                p = p - g.mu * (self._lam * mu)
+                p = p - g.x[i - 1] * cc.xs[i]
+            p = p - self._dot(g.th, cc.tau(n)) - g.mu * (self._lam * mu)
             for i in range(2, n):
-                glth = cc.galphas[i - 2].th
-                if _all_zero(glth):
-                    continue
-                gl = self._dot(glth, self._gamma_vec(w_n))
-                if _is_zero(gl):
-                    continue
-                p = p - cc.ms(i) * gl
+                gl = self._dot(cc.galphas[i - 2].th, self._gamma_vec(w_n))
+                p = p - cc.ms[i - 1] * gl
         return p
 
 
@@ -661,38 +581,26 @@ class BacksteppingEngine:
         Runs in any algebra; :meth:`evaluate` records it once with traced
         leaves and replays the recording.
         """
-        n, q = self.n, self.q
+        n = self.n
+        # layers 1..n-1 at the base point; z_n and w_n join them below, so
+        # that top.tau yields the tuning functions of every layer
         top = self._chain("x", n - 1, x[: n - 1], th, mu, want_alpha_m=True)
         alphas = top.alphas
-        z = list(top.zs)
+        z = top.zs
         z.append(x[n - 1] - alphas[n - 2] if n >= 2 else x[0])
         s = [mu * zj for zj in z]
 
         ray = self._factorize_ray(n, z, th, mu, want_psi=True)
         cc = ray["cc"]
-        psi_bar = tuple(
-            0.0 if _is_zero(e) else to_float(value_of(e)) for e in ray["psi_bar"]
-        )
+        psi_bar = tuple([to_float(value_of(e)) for e in ray["psi_bar"]])
         psi_bar_sq = 0.0
         for e in psi_bar:
             psi_bar_sq += e * e
         w_frob_n = to_float(value_of(ray["W_frob_sq"]))
         kappa = terminal_gain(n, self.cfg, w_frob_n, psi_bar_sq)
 
-        # tuning functions at the base point, layer by layer
-        w_all = list(top.ws)
-        w_all.append(tuple(_plain(c) for c in ray["w"]))
-        mu2 = mu * mu
-        taus = []
-        tau_c = [0.0] * q
-        for j in range(n):
-            ms_j = mu2 * z[j]
-            w_j = w_all[j]
-            for c in range(q):
-                wc = w_j[c]
-                if not _is_zero(wc):
-                    tau_c[c] += wc * ms_j
-            taus.append(tuple(tau_c))
+        top.ws.append(tuple(_plain(c) for c in ray["w"]))
+        taus = tuple([top.tau(j) for j in range(1, n + 1)])
         theta_hat_dot = self._gamma_vec(taus[-1])
 
         # diagnostics, read off the sigma = 1 node of each layer's ray
@@ -706,14 +614,12 @@ class BacksteppingEngine:
                                tuple(_plain(e) for e in g.th), _plain(g.mu)))
         psi = _plain(ray["psi"])
         pred = 0.0
-        for pb, z_l in zip(ray["psi_bar"], ray["zbar"]):
-            if _is_zero(pb):
-                continue
-            pred += to_float(value_of(pb)) * _plain(z_l)
+        for pb, z_l in zip(psi_bar, ray["zbar"]):
+            pred += pb * _plain(z_l)
         phi = tuple(top.phis) + (tuple(_plain(c) for c in cc.phis[n - 1]),)
 
         return (
-            tuple(z), tuple(s), phi, tuple(w_all), tuple(taus), tuple(alphas),
+            tuple(z), tuple(s), phi, tuple(top.ws), taus, tuple(alphas),
             tuple(grad_alpha), W, W_frob_sq, tuple(top.zetas), psi, psi_bar,
             to_float(kappa), resid_w, abs(psi - pred), theta_hat_dot,
         )

@@ -150,12 +150,17 @@ def apply_override(scenario, key: str, value):
     raise ConfigError(f"unknown override key {key!r}")
 
 
-def _build_scenario(args, overrides) -> object:
-    if args.config:
-        cfg = parse_config_file(args.config)
+def _build_scenario(name, config, overrides, horizon, step) -> object:
+    """The scenario ``name`` (or the one a config file names), overridden.
+
+    Overrides apply in order: the config file's, then ``--set`` pairs,
+    then ``--horizon`` and ``--step``.
+    """
+    if config:
+        cfg = parse_config_file(config)
         name = cfg.pop("scenario", None)
         if name is None:
-            raise ConfigError(f"{args.config}: missing 'scenario' key")
+            raise ConfigError(f"{config}: missing 'scenario' key")
         scn = build_named(str(name))
         for key, value in cfg.items():
             if key.startswith("override."):
@@ -165,17 +170,17 @@ def _build_scenario(args, overrides) -> object:
             elif key == "out":
                 continue
             else:
-                raise ConfigError(f"{args.config}: unknown key {key!r}")
-    elif args.scenario:
-        scn = build_named(args.scenario)
+                raise ConfigError(f"{config}: unknown key {key!r}")
+    elif name:
+        scn = build_named(name)
     else:
         raise ConfigError("provide --scenario NAME or --config FILE")
     for key, value in overrides:
         scn = apply_override(scn, key, value)
-    if args.horizon is not None:
-        scn = apply_override(scn, "horizon_s", args.horizon)
-    if args.step is not None:
-        scn = apply_override(scn, "step_s", args.step)
+    if horizon is not None:
+        scn = apply_override(scn, "horizon_s", horizon)
+    if step is not None:
+        scn = apply_override(scn, "step_s", step)
     return scn
 
 
@@ -257,7 +262,8 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
 
 def cmd_run(args) -> int:
     try:
-        scn = _build_scenario(args, _parse_sets(args.set))
+        scn = _build_scenario(args.scenario, args.config, _parse_sets(args.set),
+                              args.horizon, args.step)
         scn.validate()
     except (ConfigError, ScenarioError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -282,14 +288,7 @@ def cmd_run(args) -> int:
 
 def _compare_worker(payload):
     name, sets, horizon, step = payload
-    scn = build_named(name)
-    for key, value in sets:
-        scn = apply_override(scn, key, value)
-    if horizon is not None:
-        scn = apply_override(scn, "horizon_s", horizon)
-    if step is not None:
-        scn = apply_override(scn, "step_s", step)
-    return simulate(scn)
+    return simulate(_build_scenario(name, None, sets, horizon, step))
 
 
 def cmd_compare(args) -> int:
@@ -299,7 +298,9 @@ def cmd_compare(args) -> int:
         if len(names) < 2:
             raise ConfigError("compare needs at least two --scenario names")
         payloads = [(n, sets, args.horizon, args.step) for n in names]
-    except ConfigError as exc:
+        for payload in payloads:  # the workers rebuild them: models do not pickle
+            _build_scenario(payload[0], None, *payload[1:]).validate()
+    except (ConfigError, ScenarioError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)

@@ -13,9 +13,11 @@ step):
 
 * payloads may be plain floats or numpy arrays, which lets a caller batch
   many evaluation points (e.g. quadrature nodes) through one pass;
-* multiplying by an exact float ``0.0`` collapses to ``0.0`` -- sound for
-  value-and-derivative algebra since ``0 * f`` is identically zero -- so
-  structurally absent terms cost nothing;
+* literal float zeros fold: multiplying by ``0.0`` collapses to ``0.0`` --
+  sound for value-and-derivative algebra since ``0 * f`` is identically
+  zero -- adding or subtracting ``0.0`` returns the other operand, and
+  ``0.0 - d`` is ``-d``, so structurally absent terms cost nothing and
+  callers need no zero tests of their own;
 * sensitivity tuples store exact float zeros for dead directions and all
   combining helpers skip them.
 
@@ -24,9 +26,12 @@ float or ndarray payload and writes every arithmetic operation applied to
 it onto a tape.  Pushing traced leaves through the dual algebra once turns
 an arbitrarily nested derivative computation into a flat list of float and
 array operations, which :meth:`Tape.compile` turns into a replayable
-:class:`Program`.  A traced leaf is never a ``float``, so the exact-zero
-shortcuts above fire only on literal zeros (zeros that do not depend on
-the recorded inputs), and the recorded program is valid at every input.
+:class:`Program`.  :meth:`Tape.call` folds literal zeros by the same rules,
+so whether a zero reaches the tape as a dual or as a float operand, the
+operation it makes absent is not recorded.  A traced leaf is never a
+``float``, so the folds fire only on literal zeros (zeros that do not
+depend on the recorded inputs), and the recorded program is valid at
+every input.
 """
 
 from __future__ import annotations
@@ -133,6 +138,8 @@ class Dual:
             if o.tag < self.tag:
                 return Dual(self.tag, self.val + o, self.eps)
             return Dual(o.tag, self + o.val, o.eps)
+        if type(o) is float and o == 0.0:
+            return self
         return Dual(self.tag, self.val + o, self.eps)
 
     __radd__ = __add__
@@ -145,9 +152,13 @@ class Dual:
             if o.tag < self.tag:
                 return Dual(self.tag, self.val - o, self.eps)
             return Dual(o.tag, self - o.val, o.eps)
+        if type(o) is float and o == 0.0:
+            return self
         return Dual(self.tag, self.val - o, self.eps)
 
     def __rsub__(self, o):
+        if type(o) is float and o == 0.0:
+            return -self
         return Dual(self.tag, o - self.val, _eps_neg(self.eps))
 
     def __neg__(self):
@@ -504,14 +515,37 @@ class Tape:
         return reg
 
     def call(self, fn, *args) -> Traced:
-        """Record ``fn(*args)``; at least one argument is traced."""
-        if fn is operator.mul or fn is operator.truediv:
+        """Record ``fn(*args)``; at least one argument is traced.
+
+        Literal float zeros fold as they do in the dual algebra: a product
+        with one is ``0.0``, ``x + 0.0``, ``0.0 + x`` and ``x - 0.0`` are
+        ``x``, and ``0.0 - x`` records ``-x``.  Multiplying or dividing by
+        a literal ``1.0`` records nothing either.  So a term that is
+        structurally absent costs no operation, whoever writes it.
+        """
+        if fn is operator.mul:
             a, b = args
-            # x * 1.0 and x / 1.0 are x bit for bit: no operation
+            if _is_zero(a) or _is_zero(b):
+                return 0.0  # as in the dual algebra: 0 * x is identically zero
+            # x * 1.0 is x bit for bit: no operation
             if type(b) is float and b == 1.0 and _exact_float(a):
                 return a
-            if fn is operator.mul and type(a) is float and a == 1.0 and _exact_float(b):
+            if type(a) is float and a == 1.0 and _exact_float(b):
                 return b
+        elif fn is operator.add or fn is operator.sub:
+            a, b = args
+            # x + 0.0, 0.0 + x and x - 0.0 are x (but for the sign of a zero)
+            if _is_zero(b) and _exact_float(a):
+                return a
+            if _is_zero(a):
+                if fn is operator.sub:
+                    return self.call(operator.neg, b)
+                if _exact_float(b):
+                    return b
+        elif fn is operator.truediv:
+            a, b = args
+            if type(b) is float and b == 1.0 and _exact_float(a):
+                return a
         regs = tuple([a.reg if type(a) is Traced else self._const(a) for a in args])
         key = (fn,) + regs
         hit = self._memo.get(key)

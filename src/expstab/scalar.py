@@ -68,14 +68,15 @@ class ScalarGains:
     nussbaum: Optional[NussbaumSpec] = None
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError("k must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative")
-        if not self.gamma_a > 0.0:
-            raise ValueError("gamma_a must be positive")
-        if self.delta_a < 0.0:
-            raise ValueError("delta_a must be nonnegative")
+        # chained comparisons are false for NaN, so NaN fails every check
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not 0.0 < self.gamma_a < math.inf:
+            raise ValueError(f"gamma_a must be positive and finite, got {self.gamma_a}")
+        if not 0.0 <= self.delta_a < math.inf:
+            raise ValueError(f"delta_a must be finite and nonnegative, got {self.delta_a}")
 
 
 def _at(x: float, a_hat: float, s: float) -> str:

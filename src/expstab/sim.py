@@ -102,10 +102,11 @@ class Scenario:
     def validate(self) -> None:
         if self.controller not in ENGINE_CONTROLLERS + SCALAR_CONTROLLERS:
             raise ScenarioError(f"unknown controller {self.controller!r}")
-        if not self.step > 0.0:
-            raise ScenarioError("step must be positive")
-        if not self.horizon > 0.0:
-            raise ScenarioError("horizon must be positive")
+        # chained comparisons are false for NaN, so NaN fails every check
+        if not 0.0 < self.step < math.inf:
+            raise ScenarioError(f"step must be positive and finite, got {self.step}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ScenarioError(f"horizon must be positive and finite, got {self.horizon}")
         if self.record_every < 1:
             raise ScenarioError("record_every must be >= 1")
         x0 = np.asarray(self.x0, dtype=float)
@@ -113,6 +114,8 @@ class Scenario:
             raise ScenarioError(
                 f"x0 must have shape ({self.model.n},), got {x0.shape}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise ScenarioError(f"x0 must be finite, got {x0}")
         if self.controller in ENGINE_CONTROLLERS:
             if not isinstance(self.gains, GainConfig):
                 raise ScenarioError("engine controllers need a GainConfig")
@@ -121,17 +124,24 @@ class Scenario:
                 raise ScenarioError(
                     f"theta_hat0 must have shape ({self.model.q},), got {th0.shape}"
                 )
-            if np.any(th0 < 0.0):
-                raise ScenarioError("theta_hat0 must be elementwise nonnegative")
+            if not np.all((0.0 <= th0) & (th0 < math.inf)):
+                raise ScenarioError(
+                    f"theta_hat0 must be finite and elementwise nonnegative, got {th0}"
+                )
             if self.controller == "theorem2":
                 if self.gains.nussbaum is None:
                     raise ScenarioError("theorem2 requires a Nussbaum spec")
-                if self.xi0 is None or self.xi0 < 0.0:
-                    raise ScenarioError("theorem2 requires xi0 >= 0")
+                if self.xi0 is None or not 0.0 <= self.xi0 < math.inf:
+                    raise ScenarioError(
+                        f"theorem2 requires a finite xi0 >= 0, got {self.xi0}"
+                    )
             else:
-                if self.rho_hat0 is None or self.rho_hat0 == 0.0:
-                    raise ScenarioError("theorem1 requires a nonzero rho_hat0")
-                if self.rho_hat0 * self.gains.sign_b <= 0.0:
+                rho = self.rho_hat0
+                if rho is None or rho == 0.0 or not math.isfinite(rho):
+                    raise ScenarioError(
+                        f"theorem1 requires a finite nonzero rho_hat0, got {rho}"
+                    )
+                if rho * self.gains.sign_b <= 0.0:
                     raise ScenarioError(
                         "rho_hat0 must have the sign of the control direction: "
                         f"rho_hat0={self.rho_hat0}, sign_b={self.gains.sign_b}"
@@ -143,11 +153,15 @@ class Scenario:
                 raise ScenarioError("scalar controllers need ScalarGains")
             if self.model.n != 1:
                 raise ScenarioError("scalar controllers require a first-order plant")
+            if not math.isfinite(self.a_hat0):
+                raise ScenarioError(f"a_hat0 must be finite, got {self.a_hat0}")
             if self.controller == "scalar-C":
                 if self.gains.nussbaum is None:
                     raise ScenarioError("scalar-C requires a Nussbaum spec")
-                if self.xi0 is None or self.xi0 < 0.0:
-                    raise ScenarioError("scalar-C requires xi0 >= 0")
+                if self.xi0 is None or not 0.0 <= self.xi0 < math.inf:
+                    raise ScenarioError(
+                        f"scalar-C requires a finite xi0 >= 0, got {self.xi0}"
+                    )
 
 
 @dataclass(eq=False)
@@ -538,30 +552,18 @@ def simulate(scenario: Scenario) -> Trajectory:
                     xi_prev = xi_new
     except _Abort:
         pass
-    except NussbaumOverflowError as exc:
-        status = "overflow"
-        failure_time = t0
-        failure_reason = _cause(exc)
-    except (ArithmeticError, ValueError) as exc:
+    except _NUMERICAL as exc:
         # a violent blowup can overflow inside the stage arithmetic before
         # the per-step finiteness check sees it; same verdict either way
-        status = "diverged"
-        failure_time = t0
-        failure_reason = _cause(exc)
+        status, failure_time, failure_reason = _failure(exc, t0)
     else:
         # final accepted state
         t_end = float(segments[-1][-1])
         try:
             k_end, u_end, ev_end = rhs(t_end, y, t_end - 1e-12,
                                        diagnostics=diagnostics)
-        except NussbaumOverflowError as exc:
-            status = "overflow"
-            failure_time = t_end
-            failure_reason = _cause(exc)
-        except (ArithmeticError, ValueError) as exc:
-            status = "diverged"
-            failure_time = t_end
-            failure_reason = _cause(exc)
+        except _NUMERICAL as exc:
+            status, failure_time, failure_reason = _failure(exc, t_end)
         else:
             if resid_tol is not None and ev_end.max_residual() > max_resid:
                 max_resid = ev_end.max_residual()
@@ -610,8 +612,14 @@ class _Abort(Exception):
     pass
 
 
-def _cause(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+# the exceptions that end a run with a failure status instead of propagating
+_NUMERICAL = (NussbaumOverflowError, ArithmeticError, ValueError)
+
+
+def _failure(exc: BaseException, t: float) -> tuple:
+    """``(status, failure_time, failure_reason)`` of a run ``exc`` ended at ``t``."""
+    status = "overflow" if isinstance(exc, NussbaumOverflowError) else "diverged"
+    return status, t, f"{type(exc).__name__}: {exc}"
 
 
 # -- persistence -----------------------------------------------------------

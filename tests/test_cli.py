@@ -51,6 +51,25 @@ def test_run_rejects_bad_gain(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "wing-rock-theorem1", "--set", "x0_1=nan"],
+    ["--scenario", "wing-rock-theorem1", "--set", "lambda=nan"],
+    ["--scenario", "wing-rock-theorem1", "--set", "delta_theta=nan"],
+    ["--scenario", "wing-rock-theorem1", "--set", "theta_hat0_1=nan"],
+    ["--scenario", "wing-rock-theorem1", "--set", "rho_hat0=nan"],
+    ["--scenario", "wing-rock-theorem2", "--set", "xi0=inf"],
+    ["--scenario", "scalar-C", "--set", "xi0=nan"],
+    ["--scenario", "scalar-A", "--set", "a_hat0=-inf"],
+    ["--scenario", "scalar-B", "--set", "delta_a=nan"],
+    ["--scenario", "wing-rock-theorem1", "--horizon", "inf"],
+])
+def test_run_rejects_non_finite_configuration(tmp_path, argv):
+    if "--horizon" not in argv:
+        argv = argv + ["--horizon", "0.01"]
+    rc = main(["run", *argv, "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_CONFIG
+
+
 def test_run_from_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -102,6 +121,13 @@ def test_compare_emits_table(tmp_path):
 
 def test_compare_needs_two(tmp_path):
     rc = main(["compare", "--scenario", "scalar-A", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", [["--set", "lambda=nan"], ["--horizon", "inf"]])
+def test_compare_rejects_bad_configuration(tmp_path, bad):
+    rc = main(["compare", "--scenario", "scalar-A", "--scenario", "scalar-B", *bad,
+               "--out", str(tmp_path), "--quiet"])
     assert rc == EXIT_CONFIG
 
 

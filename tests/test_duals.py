@@ -73,6 +73,18 @@ def test_zero_multiplication_collapses():
     assert x * 0.0 == 0.0
 
 
+def test_adding_a_literal_zero_returns_the_dual():
+    tag, (d,) = seed((1.5,))
+    assert d + 0.0 is d
+    assert 0.0 + d is d
+    assert d - 0.0 is d
+    neg = 0.0 - d
+    assert (neg.tag, neg.val, neg.eps) == (tag, -1.5, (-1.0,))
+    # 0.0 - d is -d, down to the sign of a zero value
+    _, (z,) = seed((0.0,))
+    assert math.copysign(1.0, (0.0 - z).val) == -1.0
+
+
 def test_array_payload_batching():
     tag, seeded = seed((np.array([1.0, 2.0, 3.0]),))
     y = seeded[0] ** 2
@@ -141,10 +153,15 @@ def test_replay_matches_direct_evaluation_through_duals():
 def test_recording_merges_repeats_and_skips_unit_scaling():
     from expstab.duals import Traced
 
-    tape, prog = _record(lambda x, y: (x * y + x * y, 1.0 * x, x / 1.0, y * 1.0), 2.0, 3.0)
-    assert len(tape) == 2  # one product, one sum
-    assert prog((2.0, 3.0)) == (12.0, 2.0, 2.0, 3.0)
-    assert prog.n_ops == 2
+    def f(x, y):
+        return (x * y + x * y, 1.0 * x, x / 1.0, y * 1.0,
+                0.0 * x, x * 0.0, x + 0.0, 0.0 + x, x - 0.0, 0.0 - y)
+
+    tape, prog = _record(f, 2.0, 3.0)
+    assert len(tape) == 3  # one product, one sum, one negation
+    assert prog((2.0, 3.0)) == (12.0, 2.0, 2.0, 3.0, 0.0, 0.0, 2.0, 2.0, 2.0, -3.0)
+    assert prog((-1.5, 0.25)) == (-0.75, -1.5, -1.5, 0.25, 0.0, 0.0, -1.5, -1.5, -1.5, -0.25)
+    assert prog.n_ops == 3
     with pytest.raises(TypeError):
         float(Traced(tape, 0, 1.0))
     with pytest.raises(TypeError):

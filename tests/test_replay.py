@@ -207,6 +207,21 @@ def test_fresh_tags_are_unique_across_threads():
     assert len(tags) == 20000 and len(set(tags)) == len(tags)
 
 
+# (light, full) operation counts of the fixture programs when the recursion
+# tested every term for a literal zero itself; the tape's zero folds must
+# prune at least as much
+_ZERO_TESTED_OPS = {1: (31, 49), 2: (30, 62), 3: (1016, 1098), 4: (12511, 12659)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_zero_folds_keep_programs_small(engines, n):
+    engine = engines[n]
+    engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2)[:n], (0.1, 0.2))
+    light, full = engine._programs
+    most_light, most_full = _ZERO_TESTED_OPS[n]
+    assert light.n_ops <= most_light and full.n_ops <= most_full
+
+
 def test_order4_program_is_compiled_in_bounded_chunks(engines):
     engine = engines[4]
     ev = engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2), (0.1, 0.2))

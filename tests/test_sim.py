@@ -142,6 +142,27 @@ def test_scenario_validation_errors():
     t2 = build_wing_rock("theorem2", horizon=1.0)
     with pytest.raises(ScenarioError):
         dataclasses.replace(t2, xi0=-0.5).validate()
+    # non-finite configuration is rejected before a run starts
+    scalar_c = build_scalar("scalar-C", a_nominal=1.0, x0=0.8, a_deviation=0.3,
+                            b_value=-1.5, horizon=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for change in (dict(x0=np.asarray([bad, 0.0])),
+                       dict(theta_hat0=np.asarray([0.1, bad])),
+                       dict(rho_hat0=bad), dict(horizon=bad), dict(step=bad)):
+            with pytest.raises(ScenarioError):
+                dataclasses.replace(scn, **change).validate()
+        with pytest.raises(ScenarioError):
+            dataclasses.replace(t2, xi0=bad).validate()
+        for field in ("lam", "delta_theta", "eps_psi", "gamma_rho", "k"):
+            value = (bad, 1.0) if field == "k" else bad
+            with pytest.raises(ValueError):
+                dataclasses.replace(scn.gains, **{field: value})
+        for change in (dict(x0=np.asarray([bad])), dict(a_hat0=bad), dict(xi0=bad)):
+            with pytest.raises(ScenarioError):
+                dataclasses.replace(scalar_c, **change).validate()
+        for field in ("k", "lam", "gamma_a", "delta_a"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(scalar_c.gains, **{field: bad})
 
 
 # -- persistence -------------------------------------------------------------
@@ -275,21 +296,24 @@ def test_non_finite_scalar_state_ends_run_as_diverged(controller, where, value, 
     scn = build_scalar(controller, a_nominal=1.0, a_deviation=0.3, x0=0.8,
                        b_value=-1.5 if controller == "scalar-C" else 1.0,
                        horizon=0.03, step=1e-3)
-    if where == "theta":
-        def theta_signal(t):
-            return (value if t >= t_bad else 1.0,)
-        scn = dataclasses.replace(
-            scn, model=dataclasses.replace(scn.model, theta_signal=theta_signal))
-    elif where == "x0":
-        scn = dataclasses.replace(scn, x0=np.asarray([value]))
-    else:
-        scn = dataclasses.replace(scn, a_hat0=value)
+    if where != "theta":
+        # a non-finite initial value is a configuration error, not a run
+        change = dict(x0=np.asarray([value])) if where == "x0" else dict(a_hat0=value)
+        with pytest.raises(ScenarioError, match="must be finite"):
+            simulate(dataclasses.replace(scn, **change))
+        return
+
+    def theta_signal(t):
+        return (value if t >= t_bad else 1.0,)
+
+    scn = dataclasses.replace(
+        scn, model=dataclasses.replace(scn.model, theta_signal=theta_signal))
     traj = simulate(scn)
     assert traj.status == "diverged"
     # a stage rejects the state, or the per-step check the accepted one
     assert traj.monitors["failure_reason"].startswith(
         ("ValueError: non-finite scalar state", "state not finite"))
-    assert traj.failure_time <= (t_bad + scn.step if where == "theta" else 0.0)
+    assert traj.failure_time <= t_bad + scn.step
     assert np.all(np.isfinite(traj.x))
 
 
