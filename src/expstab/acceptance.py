@@ -86,19 +86,21 @@ def criterion_1(cache: AcceptanceCache) -> CriterionResult:
     tr = cache.wing_rock_t1()
     wall = cache.wall["wr-t1"]
     fit = fit_envelope(tr, rate=0.6)
+    u_fit = fit_envelope(tr, rate=0.6, signal="u")
     rho = tr.aux[:, 0]
     tail = tr.theta_hat[tr.t >= 10.0]
     tail_var = float(np.max(np.abs(tail - tr.theta_hat[-1])))
     checks = {
         "completed": tr.status == "completed",
         "envelope holds": fit.holds and math.isfinite(fit.amplitude),
-        "input bounded": bool(np.all(np.isfinite(tr.u))),
+        "input decays with the state": u_fit.holds,
         "gain estimate stays <= -0.3": bool(np.max(rho) <= -0.3),
         "estimate tail variation < 1e-3": tail_var < 1e-3,
         "wall time <= 60 s": wall <= 60.0,
     }
     details = (
         f"status={tr.status}, N={fit.amplitude:.3f}, max|u|={np.max(np.abs(tr.u)):.2f}, "
+        f"{_input_thirds(u_fit)}, "
         f"max rho={np.max(rho):.4f}, tail var={tail_var:.2e}, wall={wall:.1f}s"
     )
     return CriterionResult(1, "wing-rock known-direction run", all(checks.values()),
@@ -109,6 +111,7 @@ def criterion_2(cache: AcceptanceCache) -> CriterionResult:
     """Benchmark Nussbaum run: monotone bounded gain argument, decay to zero."""
     tr = cache.wing_rock_t2()
     fit = fit_envelope(tr, rate=0.6)
+    u_fit = fit_envelope(tr, rate=0.6, signal="u")
     xi = tr.aux[:, 0]
     mono = check_monotone(xi, tolerance=0.0)
     min_inc = tr.monitors["xi_min_increment"]
@@ -119,11 +122,12 @@ def criterion_2(cache: AcceptanceCache) -> CriterionResult:
         "xi non-decreasing (every step)": min_inc is not None and min_inc >= 0.0,
         "xi bounded": float(xi[-1]) < 6.0,
         "envelope holds": fit.holds and math.isfinite(fit.amplitude),
+        "input decays with the state": u_fit.holds,
         "terminal state < 1e-3": xT < 1e-3,
     }
     details = (
         f"status={tr.status}, xi(T)={xi[-1]:.4f}, min step increment={min_inc:.2e}, "
-        f"N={fit.amplitude:.3f}, |x(T)|={xT:.2e}"
+        f"N={fit.amplitude:.3f}, {_input_thirds(u_fit)}, |x(T)|={xT:.2e}"
     )
     return CriterionResult(2, "wing-rock unknown-direction run", all(checks.values()),
                            details + _failures(checks))
@@ -373,6 +377,11 @@ def criterion_9(cache: AcceptanceCache) -> CriterionResult:
     )
     return CriterionResult(9, "third-order synthetic runs", all(checks.values()),
                            details + _failures(checks))
+
+
+def _input_thirds(u_fit) -> str:
+    return (f"sup|u|e^({u_fit.rate:g}t) last/first third="
+            f"{u_fit.last_third:.2g}/{u_fit.first_third:.2g}")
 
 
 def _failures(checks: dict) -> str:

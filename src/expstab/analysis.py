@@ -59,14 +59,21 @@ class EnvelopeFit:
         return self.amplitude * np.exp(-self.rate * t) - norms
 
 
-def fit_envelope(traj: Trajectory, rate: float) -> EnvelopeFit:
-    """Fit the decay envelope of the state norm at the given rate."""
+def fit_envelope(traj: Trajectory, rate: float, signal: str = "x") -> EnvelopeFit:
+    """Fit the decay envelope of the state norm at the given rate.
+
+    ``signal="u"`` fits |u(t)| instead, by the same rule: an input that
+    does not decay with the state fails ``holds``.
+    """
+    if signal not in ("x", "u"):
+        raise ValueError(f"signal must be 'x' or 'u', got {signal!r}")
     if not traj.completed:
         return EnvelopeFit(rate=rate, amplitude=float("inf"), holds=False,
                            attained_t=float("nan"), first_third=float("nan"),
                            last_third=float("nan"))
     t = traj.t
-    scaled = np.linalg.norm(traj.x, axis=1) * np.exp(rate * t)
+    norms = np.linalg.norm(traj.x, axis=1) if signal == "x" else np.abs(traj.u)
+    scaled = norms * np.exp(rate * t)
     idx = int(np.argmax(scaled))
     amplitude = float(scaled[idx])
     third = (t[-1] - t[0]) / 3.0

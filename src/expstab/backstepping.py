@@ -44,7 +44,11 @@ a literal zero, so no fold depends on the state.  The replay computes
 each quantity the nested derivative contexts re-derive only once, keeps
 only the operations an output depends on (the diagnostics-light pass
 drops the layer matrices, residuals and records), and builds no dual at
-all.
+all.  For a closed-loop run the same recording also runs the input law
+(:func:`control_theorem1` or :func:`control_theorem2`, unchanged), the
+estimator rates and the plant's right-hand side on the traced cascade,
+with the parameter signals as further inputs; one replay of
+:meth:`BacksteppingEngine.closed_loop_programs` is then a whole stage.
 """
 
 from __future__ import annotations
@@ -58,9 +62,11 @@ import numpy as np
 
 from .duals import (
     Dual,
+    Pass,
     Tape,
     Traced,
     fresh_tag,
+    last_node,
     lift,
     partials_of,
     seed,
@@ -69,7 +75,7 @@ from .duals import (
     value_and_gradient,
     value_of,
 )
-from .model import SystemModel
+from .model import SystemModel, plant_rates
 from .nussbaum import NussbaumSpec, nussbaum_value
 
 __all__ = [
@@ -100,15 +106,11 @@ def _is_array(v) -> bool:
     return type(v) is np.ndarray or (type(v) is Traced and v.is_array())
 
 
-def _last_node(v) -> float:
-    return float(v[-1])  # appended sigma = 1 node
-
-
 def _plain(v) -> float:
     while type(v) is Dual:
         v = v.val
     if _is_array(v):
-        return lift(_last_node, v)
+        return lift(last_node, v)  # the appended sigma = 1 node
     return to_float(v)
 
 
@@ -353,7 +355,8 @@ class BacksteppingEngine:
             for m in range(1, model.n + 1)
         }
         self._sigma_shapes = {0: self._sigma}
-        self._programs = None  # (light, full), recorded on first use
+        self._programs = None  # evaluate's (light, full), recorded on first use
+        self._loop = None  # (law, light, full) of the closed loop under law
         self._record_lock = threading.Lock()
 
     def _sigma_by_ndim(self, ndim: int) -> np.ndarray:
@@ -624,15 +627,54 @@ class BacksteppingEngine:
             to_float(kappa), resid_w, abs(psi - pred), theta_hat_dot,
         )
 
-    def _record(self, x: tuple, th: tuple, mu: float):
+    def _closed_loop(self, law, fields: tuple, x, th, aux, mu, theta, b) -> tuple:
+        """Light and full outputs of the closed-loop right-hand side.
+
+        ``fields`` is :meth:`_cascade` at the snapshot (x, th, mu); ``aux``
+        is the law's own state, ``theta`` and ``b`` the parameter signals.
+        The light outputs are ``(dy, u)``, ``dy`` being the rates of
+        ``x + theta_hat + (aux,)``; the full ones add ``s``, ``kappa``,
+        ``resid_w`` and ``resid_psi``.  Runs in any algebra.
+        """
+        ev = EngineEval(None, x, th, mu, *fields)
+        u, aux_dot, th_dot = law(ev, aux, self.cfg)
+        light = (plant_rates(ev.phi, x, theta, b, u) + th_dot + (aux_dot,), u)
+        return light, light + (ev.s, ev.kappa, ev.resid_w, ev.resid_psi)
+
+    def _record(self, inputs: tuple, law=None) -> tuple:
+        """Record the cascade once at ``inputs`` and compile its programs.
+
+        Without ``law``, ``inputs`` is ``x + theta_hat + (mu,)`` and the
+        result is :meth:`evaluate`'s (light, full) pair.  With a law it is
+        ``x + theta_hat + (aux, mu) + theta + (b,)``: the same recording
+        then runs the law, the estimator rates and the plant on the traced
+        cascade (:meth:`_closed_loop`), and the result is the closed loop's
+        (light, full) pair.  Evaluate's programs come from that tape too.
+        """
         with self._record_lock:
-            if self._programs is None:
-                tape = Tape()
-                leaves = [tape.input(v) for v in x + th + (mu,)]
-                n = self.n
-                full = self._cascade(tuple(leaves[:n]), tuple(leaves[n:-1]), leaves[-1])
-                self._programs = tape.compile(tuple(full[i] for i in _LIGHT), full)
-            return self._programs
+            if law is None and self._programs is not None:
+                return self._programs
+            if law is not None and self._loop is not None and self._loop[0] is law:
+                return self._loop[1:]
+            n, q = self.n, self.q
+            tape = Tape()
+            leaves = tuple([tape.input(v) for v in inputs])
+            x, th = leaves[:n], leaves[n:n + q]
+            mu = leaves[n + q] if law is None else leaves[n + q + 1]
+            fields = self._cascade(x, th, mu)
+            at = x + th + (mu,)
+            passes = [Pass(tuple(fields[i] for i in _LIGHT), inputs=at),
+                      Pass(fields, extends=(0,), inputs=at)]
+            if law is not None:
+                light, full = self._closed_loop(law, fields, x, th, leaves[n + q], mu,
+                                                leaves[n + q + 2:-1], leaves[-1])
+                passes += [Pass(light, extends=(0,)), Pass(full, extends=(1, 2))]
+            programs = tape.compile(*passes)
+            self._programs = programs[:2]
+            if law is None:
+                return self._programs
+            self._loop = (law,) + programs[2:]
+            return programs[2:]
 
     # -- public entry points -----------------------------------------------
 
@@ -656,8 +698,8 @@ class BacksteppingEngine:
         if mu is None:
             mu = math.exp(self._lam * t) if self.cfg.scaled else 1.0
         mu = float(mu)
-        light, full = self._programs or self._record(x, th, mu)
         inputs = x + th + (mu,)
+        light, full = self._programs or self._record(inputs)
         if diagnostics:
             (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
              psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = full(inputs)
@@ -668,6 +710,18 @@ class BacksteppingEngine:
         return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha, grad_alpha, W,
                           W_frob_sq, zeta, psi, psi_bar, kappa, resid_w, resid_psi,
                           theta_hat_dot)
+
+    def closed_loop_programs(self, law, inputs: tuple) -> tuple:
+        """The closed loop's (light, full) programs under ``law``.
+
+        ``law`` is :func:`control_theorem1` or :func:`control_theorem2`
+        (or a stand-in with their signature).  Both programs map
+        ``x + theta_hat + (aux, mu) + theta + (b,)`` to ``(dy, u)``, the
+        full one followed by ``s``, ``kappa``, ``resid_w`` and
+        ``resid_psi``; ``dy`` holds the rates of ``x + theta_hat + (aux,)``.
+        The first call records them at ``inputs``.
+        """
+        return self._record(inputs, law)
 
     def virtual_law(self, i: int, x, theta_hat, mu: float) -> float:
         """Value of alpha_i at a point (i <= n-1)."""
@@ -723,14 +777,19 @@ def control_theorem2(ev: EngineEval, xi: float, cfg: GainConfig):
     """
     if cfg.nussbaum is None:
         raise ValueError("control_theorem2 requires a NussbaumSpec in the config")
-    if xi < 0.0:
-        raise ValueError(f"the Nussbaum argument must stay >= 0, got {xi}")
+    xi = lift(_nonnegative_xi, xi)  # a recorded check when xi is traced
     z_n = ev.z[-1]
     s_n = ev.s[-1]
     ubar = ev.kappa * z_n
     xi_dot = ev.kappa * (s_n * s_n)
-    u = nussbaum_value(cfg.nussbaum, xi) * ubar
+    u = lift(nussbaum_value, cfg.nussbaum, xi) * ubar
     return u, xi_dot, ev.theta_hat_dot
+
+
+def _nonnegative_xi(xi: float) -> float:
+    if xi < 0.0:
+        raise ValueError(f"the Nussbaum argument must stay >= 0, got {xi}")
+    return xi
 
 
 def propagate_sensitivities(f: Callable, point: Sequence[float]):

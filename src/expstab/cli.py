@@ -219,7 +219,8 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
         f"steps:      {traj.monitors['steps']} (recorded {len(traj.t)})",
         f"horizon:    {traj.meta['horizon_s']} s at step {traj.meta['step_s']} s",
         f"timing:     {traj.meta['wall_s']:.4g} s wall, "
-        f"{traj.meta['steps_per_s']:.6g} steps/s",
+        f"{traj.meta['steps_per_s']:.6g} steps/s, {traj.meta['light_calls']} light + "
+        f"{traj.meta['full_calls']} full program calls",
     ]
     fails = _monitor_failures(traj)
     if traj.completed:

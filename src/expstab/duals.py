@@ -31,7 +31,13 @@ so whether a zero reaches the tape as a dual or as a float operand, the
 operation it makes absent is not recorded.  A traced leaf is never a
 ``float``, so the folds fire only on literal zeros (zeros that do not
 depend on the recorded inputs), and the recorded program is valid at
-every input.
+every input of the recorded types and shapes.  A :func:`last_node` read
+of an array that is an elementwise expression of scalars and constants
+(the base value of a quadrature ray, read off its sigma = 1 node) is
+recorded as the same expression on scalars, so it costs neither the
+read nor, where nothing else reads them, the array operations.  One
+tape compiles into several programs that share generated code
+(:class:`Pass`).
 """
 
 from __future__ import annotations
@@ -58,9 +64,11 @@ __all__ = [
     "sqrt",
     "Tape",
     "Traced",
+    "Pass",
     "Program",
     "lift",
     "to_float",
+    "last_node",
 ]
 
 _tags = itertools.count(1)
@@ -445,12 +453,37 @@ def to_float(v):
     return float(v)
 
 
+def last_node(v) -> float:
+    """``float(v[-1])``: a node-batched array's entry at its last node.
+
+    A recorded read of an elementwise expression whose leaves are all
+    float scalars or constants costs no array operation: :meth:`Tape.call`
+    records it as the same expression on the leaves' last entries.
+    """
+    return float(v[-1])
+
+
 def _exact_float(t) -> bool:
     # payloads that multiplying by 1.0 returns bit for bit, type included
     v = t.v
     return type(v) is float or type(v) is np.float64 or (
         type(v) is np.ndarray and v.dtype == np.float64
     )
+
+
+def _const_last(c):
+    """The last-node entry of a constant operand, or None to keep the read.
+
+    A zero entry is kept out: the tape folds ``0.0 * x`` to ``0.0``, which
+    differs from the array's entry when ``x`` is not finite.
+    """
+    t = type(c)
+    if t is float or t is int or t is np.float64:
+        return c
+    if t is np.ndarray and c.ndim == 1 and c.dtype == np.float64:
+        v = float(c[-1])
+        return v if v != 0.0 and math.isfinite(v) else None
+    return None
 
 
 class ReplayError(RuntimeError):
@@ -468,9 +501,46 @@ _INFIX = {
     operator.neg: "-{}",
 }
 
+# operations whose entry at one node is the same operation on the operands'
+# entries there, bit for bit and with the same overflow and NaN results on
+# Python floats (float division and powers raise where arrays do not)
+_ELEMENTWISE = frozenset([operator.add, operator.sub, operator.mul, operator.neg])
+
 # generated functions stay this short, so compiling a large program costs
 # time and memory in proportion to its length
 _CHUNK_OPS = 200
+
+
+class Pass:
+    """One program for :meth:`Tape.compile` to generate.
+
+    ``outputs`` is a nested tuple of traced values and constants.  The
+    program first runs the operations of the earlier passes it
+    ``extends`` (by index), sharing their generated code.  ``inputs``
+    lists the traced inputs it takes, in call order; by default it takes
+    every input of the tape, in recording order.
+    """
+
+    __slots__ = ("outputs", "extends", "inputs")
+
+    def __init__(self, outputs, extends: tuple = (), inputs=None):
+        self.outputs = outputs
+        self.extends = extends
+        self.inputs = inputs
+
+
+def _flatten(node, reg_of, out: list) -> None:
+    if type(node) is tuple or type(node) is list:
+        for e in node:
+            _flatten(e, reg_of, out)
+    else:
+        out.append(reg_of(node))
+
+
+def _render(node, ref) -> str:
+    if type(node) is tuple or type(node) is list:
+        return "(" + "".join(_render(e, ref) + ", " for e in node) + ")"
+    return ref(node)
 
 
 class Tape:
@@ -481,7 +551,8 @@ class Tape:
     recorded once (every recorded function is pure), so a recursion that
     re-derives the same quantity in several derivative contexts pays for
     it once on replay.  Concrete values are held only as long as the
-    recorded computation itself holds them.
+    recorded computation itself holds them, float scalars excepted.  A
+    recording is valid for inputs of the types and shapes it was made on.
     """
 
     def __init__(self):
@@ -490,12 +561,16 @@ class Tape:
         self._consts = {}  # register -> constant value
         self._const_reg = {}
         self._memo = {}  # (fn, *argument registers) -> (register, weakref)
+        self._elementwise = {}  # register -> (fn, argument registers)
+        self._scalars = {}  # register -> value, for float scalar registers
         self._nreg = 0
 
     def input(self, value) -> Traced:
         t = Traced(self, self._nreg, value)
         self._nreg += 1
         self._inputs.append(t.reg)
+        if type(value) is float or type(value) is np.float64:
+            self._scalars[t.reg] = value
         return t
 
     def _const(self, value) -> int:
@@ -514,6 +589,9 @@ class Tape:
             self._consts[reg] = value
         return reg
 
+    def _reg_of(self, node) -> int:
+        return node.reg if type(node) is Traced else self._const(node)
+
     def call(self, fn, *args) -> Traced:
         """Record ``fn(*args)``; at least one argument is traced.
 
@@ -521,7 +599,9 @@ class Tape:
         with one is ``0.0``, ``x + 0.0``, ``0.0 + x`` and ``x - 0.0`` are
         ``x``, and ``0.0 - x`` records ``-x``.  Multiplying or dividing by
         a literal ``1.0`` records nothing either.  So a term that is
-        structurally absent costs no operation, whoever writes it.
+        structurally absent costs no operation, whoever writes it.  A
+        :func:`last_node` read of an elementwise expression is recorded on
+        the expression's scalar leaves where it can be.
         """
         if fn is operator.mul:
             a, b = args
@@ -546,6 +626,10 @@ class Tape:
             a, b = args
             if type(b) is float and b == 1.0 and _exact_float(a):
                 return a
+        elif fn is last_node:
+            got = self._read_last_node(args[0].reg)
+            if got is not None:
+                return got
         regs = tuple([a.reg if type(a) is Traced else self._const(a) for a in args])
         key = (fn,) + regs
         hit = self._memo.get(key)
@@ -561,48 +645,108 @@ class Tape:
             out = Traced(self, self._nreg, v)
             self._nreg += 1
             self._ops.append((fn, out.reg, regs))
+            if fn in _ELEMENTWISE:
+                self._elementwise[out.reg] = (fn, regs)
+        if type(v) is float or type(v) is np.float64:
+            self._scalars[out.reg] = v
         self._memo[key] = (out.reg, weakref.ref(out))
         return out
+
+    def _read_last_node(self, root: int):
+        """The last-node entry of array register ``root`` as scalar operations.
+
+        Applies when ``root`` is an elementwise expression whose leaves are
+        all float scalars or constants (a constant array contributes its
+        last entry, so the sigma = 1 node of a quadrature ray reads as
+        ``1.0``); returns None otherwise.
+        """
+        scalars = self._scalars
+        elementwise = self._elementwise
+        if root in scalars or root not in elementwise:
+            return None
+        inner = []
+        seen = set()
+        stack = [root]
+        while stack:
+            reg = stack.pop()
+            if reg in seen or reg in scalars:
+                continue
+            seen.add(reg)
+            if reg in self._consts:
+                if _const_last(self._consts[reg]) is None:
+                    return None
+                continue
+            op = elementwise.get(reg)
+            if op is None:
+                return None  # an array leaf: keep the read
+            inner.append(reg)
+            stack.extend(op[1])
+
+        entries = {}
+
+        def entry(reg):
+            got = entries.get(reg)
+            if got is not None:
+                return got
+            if reg in scalars:
+                return Traced(self, reg, scalars[reg])
+            return _const_last(self._consts[reg])
+
+        # an operation's register follows its arguments' registers
+        for reg in sorted(inner):
+            fn, args = elementwise[reg]
+            entries[reg] = self.call(fn, *[entry(a) for a in args])
+        return entries[root]
 
     def __len__(self) -> int:
         return len(self._ops)
 
     def compile(self, *passes) -> tuple:
-        """Programs mapping the inputs to each of ``passes`` (nested tuples).
+        """One :class:`Program` per pass; bare outputs extend the pass before.
 
-        Passes nest: program i computes ``passes[i]`` and runs the
-        operations of passes 0..i, generated once and shared, so a pass
-        that extends another pays only for its extra operations.  Only
-        operations some output depends on are kept, and a register is
-        reused as soon as its last reader has run, so a replay holds no
-        more intermediate arrays at once than the live set requires.
+        Each pass generates code only for the operations its outputs need
+        beyond the passes it extends, so programs that share work share
+        code: program i runs the segments of the passes it extends and its
+        own, in pass order.  (Should a pass need an operation that only a
+        pass it does not extend generates, it runs that pass's segment
+        too.)  Only operations some output depends on are kept, and a
+        register is reused as soon as its last reader has run, so a replay
+        holds no more intermediate arrays at once than the live set
+        requires.
         """
-        out_regs = []
-
-        def leaves(node):
-            if type(node) is tuple or type(node) is list:
-                for e in node:
-                    leaves(e)
-            else:
-                out_regs.append(node.reg if type(node) is Traced else self._const(node))
-
-        # each pass adds the operations its outputs need beyond earlier passes
-        order = []
-        bounds = []
-        placed = set()
-        for outputs in passes:
-            leaves(outputs)
-            need = set(out_regs)
+        specs = [p if type(p) is Pass else Pass(p, (i - 1,) if i else ())
+                 for i, p in enumerate(passes)]
+        reg_of = self._reg_of
+        outs = []  # per pass, its output registers
+        runs = []  # per pass, the passes whose segments its program runs
+        segments = []
+        home = {}  # operation output register -> the pass that generates it
+        for i, spec in enumerate(specs):
+            run = {i}
+            for j in spec.extends:
+                run |= runs[j]
+            regs = []
+            _flatten(spec.outputs, reg_of, regs)
+            outs.append(regs)
+            need = set(regs)
             segment = []
             for op in reversed(self._ops):
-                if op[1] in need and op[1] not in placed:
+                if op[1] not in need:
+                    continue
+                where = home.get(op[1])
+                if where is None:
                     segment.append(op)
                     need.update(op[2])
+                elif where not in run:
+                    run |= runs[where]
             segment.reverse()
-            order += segment
-            placed.update(op[1] for op in segment)
-            bounds.append(len(order))
+            for op in segment:
+                home[op[1]] = i
+            segments.append(segment)
+            runs.append(run)
 
+        order = [op for segment in segments for op in segment]
+        out_regs = [reg for regs in outs for reg in regs]
         used = set(out_regs)
         for op in order:
             used.update(op[2])
@@ -640,34 +784,43 @@ class Tape:
                 init.append(None)
             lines.append(f"    r[{slot[out]}] = {expr}")
 
-        def render(node):
-            if type(node) is tuple or type(node) is list:
-                return "(" + "".join(render(e) + ", " for e in node) + ")"
-            return f"r[{slot[node.reg if type(node) is Traced else self._const(node)]}]"
+        def ref(node):
+            return f"r[{slot[reg_of(node)]}]"
 
         src = []
-        chunks = []  # per pass, the names of its own chunks
+        chunks = []  # per pass, the names of its segment's chunks
         start = 0
-        for end in bounds:
+        for segment in segments:
+            end = start + len(segment)
             names = []
             for lo in range(start, end, _CHUNK_OPS):
                 names.append(f"_c{lo}")
                 src.append(f"def _c{lo}(r):\n" + "\n".join(lines[lo:min(end, lo + _CHUNK_OPS)]) + "\n")
             chunks.append(names)
             start = end
-        for i, outputs in enumerate(passes):
-            src.append(f"def _out{i}(r):\n    return {render(outputs)}\n")
+        for i, spec in enumerate(specs):
+            src.append(f"def _out{i}(r):\n    return {_render(spec.outputs, ref)}\n")
         namespace = {"F": tuple(fns)}
         for part in src:  # one function at a time bounds the compiler's memory
             exec(compile(part, "<recorded program>", "exec"), namespace)
+
+        input_regs = set(self._inputs)
         programs = []
-        for i in range(len(passes)):
+        for i, spec in enumerate(specs):
+            taken = self._inputs if spec.inputs is None else [t.reg for t in spec.inputs]
+            read = set(outs[i])
+            for j in runs[i]:
+                for op in segments[j]:
+                    read.update(op[2])
+            if not read & input_regs <= set(taken):
+                raise ValueError(f"pass {i} reads inputs it does not take")
+            run = sorted(runs[i])
             programs.append(Program(
                 init,
-                len(self._inputs),
-                tuple(namespace[c] for names in chunks[: i + 1] for c in names),
+                tuple(slot[reg] for reg in taken),
+                tuple(namespace[c] for j in run for c in chunks[j]),
                 namespace[f"_out{i}"],
-                bounds[i],
+                sum(len(segments[j]) for j in run),
             ))
         return tuple(programs)
 
@@ -678,11 +831,13 @@ class Program:
     Calls share no state, so one program may serve concurrent callers.
     """
 
-    __slots__ = ("_init", "_n_inputs", "_chunks", "_out", "n_ops")
+    __slots__ = ("_init", "_n_inputs", "_in_slots", "_chunks", "_out", "n_ops")
 
-    def __init__(self, init, n_inputs, chunks, out, n_ops):
+    def __init__(self, init, in_slots, chunks, out, n_ops):
         self._init = init
-        self._n_inputs = n_inputs
+        self._n_inputs = len(in_slots)
+        # None when the inputs fill the leading registers in call order
+        self._in_slots = None if in_slots == tuple(range(len(in_slots))) else in_slots
         self._chunks = chunks
         self._out = out
         self.n_ops = n_ops
@@ -693,7 +848,11 @@ class Program:
                 f"program recorded for {self._n_inputs} inputs, got {len(inputs)}"
             )
         r = self._init[:]
-        r[: self._n_inputs] = inputs
+        if self._in_slots is None:
+            r[: self._n_inputs] = inputs
+        else:
+            for s, v in zip(self._in_slots, inputs):
+                r[s] = v
         for chunk in self._chunks:
             chunk(r)
         return self._out(r)

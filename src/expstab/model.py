@@ -29,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "eval_regressor",
     "eval_parameters",
+    "plant_rates",
     "validate_model",
 ]
 
@@ -131,6 +132,24 @@ def eval_regressor(model: SystemModel, i: int, x_prefix) -> np.ndarray:
             f"phi_{i} returned shape {out.shape}, expected ({model.q},)"
         )
     return out
+
+
+def plant_rates(phi, x, theta, b, u) -> tuple:
+    """dx/dt of the plant from its regressor values at the state.
+
+    ``phi[i-1]`` holds the q components of phi_i at ``x``; ``theta`` and
+    ``b`` are the parameter signals.  Runs in any algebra, so the closed
+    loop records it with the controller; a literal zero regressor
+    component costs nothing there.
+    """
+    n = len(x)
+    dx = []
+    for i, phi_i in enumerate(phi):
+        acc = 0.0
+        for pc, tc in zip(phi_i, theta):
+            acc = acc + pc * tc
+        dx.append(acc + (x[i + 1] if i + 1 < n else b * u))
+    return tuple(dx)
 
 
 def eval_parameters(model: SystemModel, t: float):

@@ -9,9 +9,17 @@ before the segment end, so each step sees one smooth branch; the nudge
 is far below integration accuracy.
 
 The controller is evaluated inside every stage (continuous-time law, no
-sample-and-hold).  The first stage of each step sits exactly on the
-accepted state; its evaluation runs with full diagnostics and feeds the
-per-step monitors:
+sample-and-hold).  For the backstepping controllers a stage is one
+replay of a recorded closed-loop program: the engine records its
+cascade, the input law, the estimator rates and the plant's right-hand
+side together once per run, with the parameter signals ``theta(tp)`` and
+``b(tp)`` as inputs, so a stage maps ``y + (mu,) + theta(tp) + (b(tp),)``
+to the state rates and the input.  The signals are evaluated once per
+distinct signal time: both midpoint stages of a step share it, and a
+step's first stage shares the previous step's last, so a step evaluates
+them about twice instead of four times.  The first stage of each step
+sits exactly on the accepted state; it replays the full program, whose
+diagnostics feed the per-step monitors:
 
 * non-finite or exploding states mark the run diverged;
 * a Nussbaum argument leaving its safe range marks it overflowed;
@@ -275,48 +283,51 @@ def integrate_fixed(f, y0, grid):
 
 
 class _EngineLoop:
-    """RHS assembly for the full backstepping controllers."""
+    """RHS assembly for the full backstepping controllers.
+
+    A stage is one replay of the engine's closed-loop program, recorded
+    on the first stage: it maps ``y + (mu,) + (theta(tp), b(tp))`` to
+    ``(dy, u)``, and with diagnostics also to ``s``, ``kappa``,
+    ``resid_w`` and ``resid_psi``.  The signals are evaluated once per
+    distinct ``tp``: both midpoint stages of a step share it, and a step's
+    first stage shares the previous step's last.
+    """
 
     def __init__(self, scn: Scenario):
-        self.model = scn.model
-        self.cfg = scn.gains
-        self.engine = BacksteppingEngine(scn.model, scn.gains)
-        self.n = scn.model.n
-        self.q = scn.model.q
-        self.variant = scn.controller
-        self.lam = self.cfg.lam if self.cfg.scaled else 0.0
+        cfg = scn.gains
+        self.engine = BacksteppingEngine(scn.model, cfg)
+        # looked up per run, so the module attributes stay patchable
+        self.law = control_theorem2 if scn.controller == "theorem2" else control_theorem1
+        self.lam = cfg.lam if cfg.scaled else 0.0
         self.aux_name = "xi" if scn.controller == "theorem2" else "rho_hat"
         th0 = tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
         aux0 = scn.xi0 if scn.controller == "theorem2" else scn.rho_hat0
         self.y0 = tuple(float(v) for v in scn.x0) + th0 + (float(aux0),)
-        self.theorem2 = scn.controller == "theorem2"
+        self.calls = [0, 0]  # light, full program replays
+        self._theta_signal = scn.model.theta_signal
+        self._b_signal = scn.model.b_signal
+        self._components = range(scn.model.q)
+        self._tp = None
+        self._sig = None
+        self._programs = None
+
+    def signals(self, tp: float) -> tuple:
+        """``theta(tp) + (b(tp),)`` as floats; a short theta raises IndexError."""
+        theta = self._theta_signal(tp)
+        b = self._b_signal(tp)
+        return tuple([float(theta[c]) for c in self._components]) + (float(b),)
 
     def rhs(self, t, y, tp, diagnostics=False):
-        n, q = self.n, self.q
-        x = y[:n]
-        th = y[n : n + q]
-        aux = y[-1]
-        mu = math.exp(self.lam * t) if self.lam != 0.0 else 1.0
-        ev = self.engine.evaluate(t, x, th, mu=mu, diagnostics=diagnostics)
-        if self.theorem2:
-            u, aux_dot, th_dot = control_theorem2(ev, aux, self.cfg)
-        else:
-            u, aux_dot, th_dot = control_theorem1(ev, aux, self.cfg)
-        theta_t = self.model.theta_signal(tp)
-        b_t = self.model.b_signal(tp)
-        phi = ev.phi
-        dx = []
-        for i in range(n):
-            acc = 0.0
-            phi_i = phi[i]
-            for c in range(q):
-                pc = phi_i[c]
-                if type(pc) is float and pc == 0.0:
-                    continue
-                acc += pc * theta_t[c]
-            acc += x[i + 1] if i + 1 < n else b_t * u
-            dx.append(acc)
-        return tuple(dx) + th_dot + (aux_dot,), u, ev
+        if tp != self._tp:
+            self._sig = self.signals(tp)
+            self._tp = tp
+        lam = self.lam
+        inputs = y + (math.exp(lam * t) if lam != 0.0 else 1.0,) + self._sig
+        self.calls[diagnostics] += 1
+        programs = self._programs
+        if programs is None:
+            programs = self._programs = self.engine.closed_loop_programs(self.law, inputs)
+        return programs[diagnostics](inputs)  # False: light, True: full
 
 
 _SCALAR_RATES = {
@@ -366,15 +377,16 @@ class _ScalarLoop:
                 x, a_hat, xi = y
                 mu = exp(lam * t)
                 u, a_dot, xi_dot = rates(x, a_hat, mu, mu * x, xi, gains)
-                return (plant(x, u, tp), a_dot, xi_dot), u, None
+                return (plant(x, u, tp), a_dot, xi_dot), u
         else:
             def rhs(t, y, tp, diagnostics=False):
                 x, a_hat = y
                 mu = exp(lam * t)
                 u, a_dot = rates(x, a_hat, mu, mu * x, gains)
-                return (plant(x, u, tp), a_dot), u, None
+                return (plant(x, u, tp), a_dot), u
 
         self.rhs = rhs
+        self.calls = (0, 0)  # light, full: the kernels replay no program
 
 
 def _energy_fn(scn: Scenario):
@@ -421,8 +433,11 @@ def _energy_fn(scn: Scenario):
 def simulate(scenario: Scenario) -> Trajectory:
     """Run a scenario to its horizon (or to a guard event) and record it.
 
-    ``meta["wall_s"]`` is the wall time of the call and
-    ``meta["steps_per_s"]`` the accepted steps per second of it.
+    ``meta["wall_s"]`` is the wall time of the call,
+    ``meta["steps_per_s"]`` the accepted steps per second of it, and
+    ``meta["light_calls"]``/``meta["full_calls"]`` count the replays of
+    the light and full closed-loop program (zero for the scalar
+    controllers, whose kernels replay no program).
     """
     started = time.perf_counter()
     scenario.validate()
@@ -431,7 +446,10 @@ def simulate(scenario: Scenario) -> Trajectory:
         scenario.horizon, scenario.step, model.breakpoints(scenario.horizon)
     )
 
-    if scenario.controller in ENGINE_CONTROLLERS:
+    # an engine stage with diagnostics returns (dy, u, s, kappa, resid_w,
+    # resid_psi), any other stage (dy, u)
+    diagnostics = scenario.controller in ENGINE_CONTROLLERS
+    if diagnostics:
         loop = _EngineLoop(scenario)
         resid_tol = scenario.gains.resid_tol
         q = model.q
@@ -440,7 +458,6 @@ def simulate(scenario: Scenario) -> Trajectory:
         resid_tol = None
         q = 1  # scalar estimate recorded in the theta_hat block
     rhs = loop.rhs
-    diagnostics = resid_tol is not None
     n = model.n
     energy = _energy_fn(scenario)
 
@@ -473,29 +490,27 @@ def simulate(scenario: Scenario) -> Trajectory:
     idx = 0
     step_count = 0
 
-    def record(t, y, u, ev):
+    def record(t, y, out):
         nonlocal idx
         t_rec[idx] = t
         x_rec[idx] = y[:n]
-        u_rec[idx] = u
-        if scenario.controller in ENGINE_CONTROLLERS:
-            th_rec[idx] = y[n : n + q]
-        else:
-            th_rec[idx] = (y[1],)
+        u_rec[idx] = out[1]
         if has_aux:
             aux_rec[idx, 0] = y[-1]
         mu = math.exp(lam * t)
         mu_rec[idx] = mu
-        if scenario.controller in ENGINE_CONTROLLERS:
-            s_vec = ev.s
+        if diagnostics:
+            th_rec[idx] = y[n : n + q]
+            _, _, s_vec, kappa, resid_w, resid_psi = out
+            diag_rec["kappa"][idx] = kappa
+            if resid_tol is not None:
+                diag_rec["resid_w"][idx] = max(resid_w)
+                diag_rec["resid_psi"][idx] = resid_psi
         else:
+            th_rec[idx] = (y[1],)
             s_vec = (mu * y[0],)
+            diag_rec["kappa"][idx] = math.nan
         s_rec[idx] = s_vec
-        if "kappa" in diag_rec:
-            diag_rec["kappa"][idx] = getattr(ev, "kappa", math.nan)
-        if resid_tol is not None:
-            diag_rec["resid_w"][idx] = max(ev.resid_w)
-            diag_rec["resid_psi"][idx] = ev.resid_psi
         if energy is not None:
             diag_rec["V"][idx] = energy(s_vec, y[n : n + q], y[-1])
         idx += 1
@@ -513,10 +528,10 @@ def simulate(scenario: Scenario) -> Trajectory:
                 # staying far below the integration error
                 tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
 
-                k1, u1, ev1 = rhs(t0, y, t0, diagnostics=diagnostics)
+                out = rhs(t0, y, t0, diagnostics)
 
                 if resid_tol is not None:
-                    r = ev1.max_residual()
+                    r = max(max(out[4]), out[5])
                     if r > max_resid:
                         max_resid = r
                     if r > resid_tol:
@@ -527,9 +542,9 @@ def simulate(scenario: Scenario) -> Trajectory:
                         )
                         raise _Abort
                 if step_count % every == 0:
-                    record(t0, y, u1, ev1)
+                    record(t0, y, out)
 
-                y = rk4_step(rhs, t0, t1, y, k1, tp1)
+                y = rk4_step(rhs, t0, t1, y, out[0], tp1)
                 step_count += 1
 
                 ok = True
@@ -560,14 +575,13 @@ def simulate(scenario: Scenario) -> Trajectory:
         # final accepted state
         t_end = float(segments[-1][-1])
         try:
-            k_end, u_end, ev_end = rhs(t_end, y, t_end - 1e-12,
-                                       diagnostics=diagnostics)
+            out = rhs(t_end, y, t_end - 1e-12, diagnostics)
         except _NUMERICAL as exc:
             status, failure_time, failure_reason = _failure(exc, t_end)
         else:
-            if resid_tol is not None and ev_end.max_residual() > max_resid:
-                max_resid = ev_end.max_residual()
-            record(t_end, y, u_end, ev_end)
+            if resid_tol is not None:
+                max_resid = max(max_resid, max(out[4]), out[5])
+            record(t_end, y, out)
 
     monitors = {
         "max_residual": max_resid if resid_tol is not None else None,
@@ -587,6 +601,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         "schema": "expstab-trajectory-v1",
         "wall_s": wall,
         "steps_per_s": step_count / wall,
+        "light_calls": loop.calls[0],
+        "full_calls": loop.calls[1],
     }
 
     return Trajectory(
@@ -706,7 +722,7 @@ def load_npz(path) -> Trajectory:
             meta={
                 k: meta[k]
                 for k in ("horizon_s", "step_s", "record_every", "lam", "schema",
-                          "wall_s", "steps_per_s")
+                          "wall_s", "steps_per_s", "light_calls", "full_calls")
                 if k in meta
             },
         )

@@ -70,6 +70,19 @@ def test_envelope_bound_is_tight_and_valid():
     assert np.min(margins) < 1e-12  # attained somewhere
 
 
+def test_input_envelope_rejects_a_non_decaying_input():
+    t = np.linspace(0.0, 10.0, 1001)
+    x = np.exp(-0.6 * t)
+    assert fit_envelope(_toy_trajectory(t, x, u=-2.0 * x), rate=0.6, signal="u").holds
+    for u in (np.full_like(t, 0.3), 0.3 * np.exp(-0.3 * t), np.cos(t) * np.exp(-0.5 * t)):
+        traj = _toy_trajectory(t, x, u=u)
+        assert fit_envelope(traj, rate=0.6).holds  # the state decays
+        fit = fit_envelope(traj, rate=0.6, signal="u")
+        assert not fit.holds and fit.last_third > fit.first_third
+    with pytest.raises(ValueError):
+        fit_envelope(traj, rate=0.6, signal="s")
+
+
 def test_slower_decay_fails_the_faster_rate():
     t = np.linspace(0.0, 10.0, 1001)
     traj = _toy_trajectory(t, 1.5 * np.exp(-0.3 * t))

@@ -23,6 +23,8 @@ def test_run_writes_artifacts(tmp_path):
     diag = load_csv(out / "diagnostics.csv")
     assert list(diag) == ["t", "kappa"]
     assert np.array_equal(diag["t"], data["t"])
+    # the scalar kernels replay no recorded program
+    assert ", 0 light + 0 full program calls" in report
 
 
 def test_run_with_override_reproduces_baseline(tmp_path):

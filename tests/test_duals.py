@@ -186,3 +186,67 @@ def test_unused_operations_are_dropped():
     light, full = tape.compile((keep,), (keep, x + y))
     assert (light.n_ops, full.n_ops) == (1, 2)
     assert light((2.0, 4.0)) == (8.0,) and full((2.0, 4.0)) == (8.0, 6.0)
+
+
+def test_last_node_read_of_a_scalar_expression_records_scalar_ops():
+    from expstab.duals import Tape, last_node, lift
+
+    sigma = np.array([0.25, 0.5, 1.0])  # quadrature nodes, sigma = 1 last
+    tape = Tape()
+    x, z, c = tape.input(0.7), tape.input(-1.3), tape.input(2.5)
+    ray = sigma * z + (sigma * x) * c
+    recorded = len(tape)
+    base = lift(last_node, ray)
+    # sigma's last entry is 1.0 and 1.0 * v folds: z + x * c, no read
+    assert len(tape) == recorded + 2
+    prog = tape.compile((base, ray))[0]
+    for pt in ((0.7, -1.3, 2.5), (-3.0, 0.125, 1e300), (0.0, -0.0, math.inf)):
+        with np.errstate(invalid="ignore"):  # 0 * inf in the ray
+            got_base, got_ray = prog(pt)
+        assert type(got_base) is float
+        want = float(got_ray[-1])
+        assert got_base == want or (math.isnan(got_base) and math.isnan(want))
+    assert base.v == last_node(ray.v)
+
+
+def test_last_node_read_keeps_array_leaves():
+    from expstab.duals import Tape, last_node, lift
+
+    sigma = np.array([0.25, 1.0])
+    tape = Tape()
+    x = tape.input(0.7)
+    arr = tape.input(np.array([1.0, 2.0]))
+    for ray in (sigma * x + arr,                    # an array input
+                lift(np.cumsum, sigma * x) * x,     # not elementwise
+                (sigma * x) / x):                   # division is not rewritten
+        recorded = len(tape)
+        base = lift(last_node, ray)
+        assert len(tape) == recorded + 1 and tape._ops[-1][0] is last_node
+        assert base.v == last_node(ray.v)
+
+
+def test_passes_share_code_and_take_their_own_inputs():
+    from expstab.duals import Pass, Tape
+
+    tape = Tape()
+    x, a = tape.input(2.0), tape.input(3.0)
+    base = x * x
+    extra = base + x  # the diagnostics of the plain pass
+    loop = base * a  # the plain pass extended by a second input
+    light, full, loop_light, loop_full = tape.compile(
+        Pass((base,), inputs=(x,)),
+        Pass((base, extra), extends=(0,), inputs=(x,)),
+        Pass((loop,), extends=(0,)),
+        Pass((loop, extra), extends=(1, 2)),
+    )
+    assert [p.n_ops for p in (light, full, loop_light, loop_full)] == [1, 2, 2, 3]
+    assert light((3.0,)) == (9.0,) and full((3.0,)) == (9.0, 12.0)
+    assert loop_light((3.0, 2.0)) == (18.0,) and loop_full((3.0, 2.0)) == (18.0, 12.0)
+    assert loop_light._chunks[0] is light._chunks[0]
+    # a pass needing an operation that a pass it does not extend generates
+    # runs that pass's code as well
+    first, second = tape.compile(Pass((extra,)), Pass((extra * a,)))
+    assert (first.n_ops, second.n_ops) == (2, 3)
+    assert second((3.0, 2.0)) == (24.0,)
+    with pytest.raises(ValueError, match="reads inputs it does not take"):
+        tape.compile(Pass((loop,), inputs=(x,)))

@@ -1,8 +1,11 @@
 """The recorded engine program against the dual recursion it was recorded from."""
 
+import gc
 import math
+import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +14,13 @@ from hypothesis import strategies as st
 
 from expstab import GainConfig, SystemModel
 from expstab import duals
-from expstab.backstepping import _FULL_FIELDS, _LIGHT, BacksteppingEngine
+from expstab.backstepping import (
+    _FULL_FIELDS,
+    _LIGHT,
+    BacksteppingEngine,
+    control_theorem1,
+    control_theorem2,
+)
 from expstab.duals import Dual
 from expstab.scenarios import build_synthetic, build_wing_rock
 
@@ -231,3 +240,111 @@ def test_order4_program_is_compiled_in_bounded_chunks(engines):
     # one generated function per bounded run of operations, never one huge one
     assert len(full._chunks) >= full.n_ops / duals._CHUNK_OPS
     assert light._chunks == full._chunks[: len(light._chunks)]
+
+
+# -- the closed-loop program ----------------------------------------------------
+
+_LOOP_SCENARIOS = {
+    "wr-theorem1": lambda: build_wing_rock("theorem1"),
+    "wr-theorem2": lambda: build_wing_rock("theorem2"),
+    "wr-baseline": lambda: build_wing_rock("baseline-lambda0"),
+    "syn-theorem1": lambda: build_synthetic("theorem1", seed=0),
+    "syn-theorem2": lambda: build_synthetic("theorem2", seed=0),
+}
+
+
+@pytest.fixture(scope="module")
+def loops():
+    """Per scenario: the config, the law, a closed-loop engine and a plain one."""
+    built = {}
+    for name, build in _LOOP_SCENARIOS.items():
+        scn = build()
+        law = control_theorem2 if scn.controller == "theorem2" else control_theorem1
+        built[name] = (scn.gains, law, BacksteppingEngine(scn.model, scn.gains),
+                       BacksteppingEngine(scn.model, scn.gains))
+    return built
+
+
+def _composed(engine, law, cfg, x, th, aux, mu, theta, b):
+    """The right-hand side as evaluate, the law and the plant sum in turn."""
+    ev = engine.evaluate(0.0, x, th, mu=mu, diagnostics=True)
+    u, aux_dot, th_dot = law(ev, aux, cfg)
+    n = len(x)
+    dx = []
+    for i, phi_i in enumerate(ev.phi):
+        acc = 0.0
+        for pc, tc in zip(phi_i, theta):
+            if type(pc) is float and pc == 0.0:
+                continue
+            acc += pc * tc
+        acc += x[i + 1] if i + 1 < n else b * u
+        dx.append(acc)
+    return (tuple(dx) + th_dot + (aux_dot,), u), (ev.s, ev.kappa, ev.resid_w, ev.resid_psi)
+
+
+@pytest.mark.parametrize("name", sorted(_LOOP_SCENARIOS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closed_loop_program_equals_the_composition(loops, name, data):
+    cfg, law, engine, plain = loops[name]
+    n, q = engine.n, engine.q
+    x = tuple(data.draw(st.lists(_coord, min_size=n, max_size=n)))
+    th = tuple(data.draw(st.lists(_estimate, min_size=q, max_size=q)))
+    if law is control_theorem2:
+        aux = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    else:
+        aux = data.draw(st.floats(-2.0, -0.1))
+    mu = data.draw(_mu) if cfg.lam != 0.0 else 1.0
+    theta = tuple(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=q, max_size=q)))
+    b = data.draw(st.floats(-3.0, -0.5))
+    inputs = x + th + (aux, mu) + theta + (b,)
+    light, full = engine.closed_loop_programs(law, inputs)
+    want_light, want_diag = _composed(plain, law, cfg, x, th, aux, mu, theta, b)
+    assert light(inputs) == want_light
+    assert full(inputs) == want_light + want_diag
+    # evaluate's programs, compiled from the closed loop's tape, agree too
+    for diagnostics, names in ((True, _FULL_FIELDS),
+                               (False, tuple(_FULL_FIELDS[i] for i in _LIGHT))):
+        got, want = (e.evaluate(0.0, x, th, mu=mu, diagnostics=diagnostics)
+                     for e in (engine, plain))
+        assert _fields(got, names) == _fields(want, names)
+
+
+def test_negative_xi_in_a_stage_raises_the_laws_error(loops):
+    cfg, law, engine, plain = loops["wr-theorem2"]
+
+    def inputs(xi):
+        return (0.5, -0.2, 0.1, 0.1, xi, 1.2, -26.0, 0.67, -2.0)
+
+    light, full = engine.closed_loop_programs(law, inputs(0.5))
+    message = re.escape("the Nussbaum argument must stay >= 0, got -0.25")
+    with pytest.raises(ValueError, match=message):
+        law(plain.evaluate(0.0, (0.5, -0.2), (0.1, 0.1), mu=1.2), -0.25, cfg)
+    for program in (light, full):
+        with pytest.raises(ValueError, match=message):
+            program(inputs(-0.25))
+
+
+def test_recording_frees_its_tape(monkeypatch):
+    # compiling leaves no reference cycle, so a tape goes with the
+    # recording's last traced value instead of at a later collection
+    tapes = []
+
+    class Watched(duals.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr("expstab.backstepping.Tape", Watched)
+    syn = build_synthetic("theorem1", seed=0)
+    wr = build_wing_rock("theorem2")
+    gc.collect()
+    gc.disable()
+    try:
+        BacksteppingEngine(syn.model, syn.gains).evaluate(0.1, (0.3, -0.2, 0.4), (0.1, 0.0))
+        BacksteppingEngine(wr.model, wr.gains).closed_loop_programs(
+            control_theorem2, (0.5, -0.2, 0.1, 0.1, 0.5, 1.2, -26.0, 0.67, -2.0))
+        assert len(tapes) == 2
+        assert [ref() for ref in tapes] == [None, None]
+    finally:
+        gc.enable()

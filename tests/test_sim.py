@@ -208,6 +208,10 @@ def test_npz_round_trip_bit_exact(tmp_path, short_run):
         assert np.array_equal(back.diag[k], short_run.diag[k])
     assert back.meta["schema"] == "expstab-trajectory-v1"
     assert back.meta == short_run.meta  # timing included
+    # one full replay per accepted state and the final one, three light per step
+    steps = short_run.monitors["steps"]
+    assert back.meta["full_calls"] == short_run.meta["full_calls"] == steps + 1
+    assert back.meta["light_calls"] == short_run.meta["light_calls"] == 3 * steps
 
 
 def test_run_timing_in_meta(short_run):
@@ -334,7 +338,7 @@ def test_replay_fault_propagates(monkeypatch):
         raise ReplayError("recording does not fit")
 
     monkeypatch.setattr(BacksteppingEngine, "_record",
-                        lambda self, x, th, mu: (faulty, faulty))
+                        lambda self, inputs, law=None: (faulty, faulty))
     with pytest.raises(ReplayError):
         simulate(build_wing_rock("theorem1", horizon=0.01))
 
