@@ -26,9 +26,15 @@ float or ndarray payload and writes every arithmetic operation applied to
 it onto a tape.  Pushing traced leaves through the dual algebra once turns
 an arbitrarily nested derivative computation into a flat list of float and
 array operations, which :meth:`Tape.compile` turns into a replayable
-:class:`Program`.  :meth:`Tape.call` folds literal zeros by the same rules,
-so whether a zero reaches the tape as a dual or as a float operand, the
-operation it makes absent is not recorded.  A traced leaf is never a
+:class:`Program`.  Each value is recorded once: constants are keyed by
+value (an ndarray by dtype, shape and bytes), so equal arrays built apart
+share a register, and the operands of ``+`` and ``*`` are keyed in
+either order, so ``b * a`` after ``a * b`` records nothing.
+:meth:`Tape.call` folds literal zeros by the same rules as the dual
+algebra, so whether a zero reaches the tape as a dual or as a float
+operand, the operation it makes absent is not recorded; products with
+``1.0`` or with an all-ones float64 array that leave a float64 array's
+shape alone are not recorded either.  A traced leaf is never a
 ``float``, so the folds fire only on literal zeros (zeros that do not
 depend on the recorded inputs), and the recorded program is valid at
 every input of the recorded types and shapes.  A :func:`last_node` read
@@ -471,6 +477,32 @@ def _exact_float(t) -> bool:
     )
 
 
+def _unit_array(c, x) -> bool:
+    """True when ``x * c`` and ``x / c`` are ``x`` bit for bit.
+
+    That is when ``c`` is a float64 array of ones, ``x`` a traced float64
+    array and the product keeps ``x``'s shape.
+    """
+    if type(c) is not np.ndarray or c.dtype != np.float64 or type(x) is not Traced:
+        return False
+    v = x.v
+    if type(v) is not np.ndarray or v.dtype != np.float64 or c.ndim > v.ndim:
+        return False
+    for k, m in zip(c.shape[::-1], v.shape[::-1]):
+        if k != 1 and k != m:
+            return False
+    return bool((c == 1.0).all())
+
+
+def _numeric(a) -> bool:
+    # operands whose sums and products commute (sequences concatenate)
+    v = a.v if type(a) is Traced else a
+    t = type(v)
+    return t is float or t is int or t is np.float64 or (
+        t is np.ndarray and not v.dtype.hasobject
+    )
+
+
 def _const_last(c):
     """The last-node entry of a constant operand, or None to keep the read.
 
@@ -547,10 +579,13 @@ class Tape:
     """The leaf operations of one recorded pass, in execution order.
 
     Values live in virtual registers: one per input, per distinct constant
-    and per operation.  Identical operations on identical registers are
-    recorded once (every recorded function is pure), so a recursion that
+    value and per operation.  Identical operations on identical registers
+    are recorded once (every recorded function is pure), with the two
+    operands of ``+`` and ``*`` taken in either order, so a recursion that
     re-derives the same quantity in several derivative contexts pays for
-    it once on replay.  Concrete values are held only as long as the
+    it once on replay.  An ndarray constant is keyed by its dtype, shape
+    and bytes (so ``-0.0`` and ``0.0`` stay apart), and the tape keeps a
+    read-only copy of it.  Concrete values are held only as long as the
     recorded computation itself holds them, float scalars excepted.  A
     recording is valid for inputs of the types and shapes it was made on.
     """
@@ -575,14 +610,24 @@ class Tape:
 
     def _const(self, value) -> int:
         tv = type(value)
+        by_value = tv is np.ndarray and not value.dtype.hasobject
         if tv is float or tv is np.float64:
             key = (tv, value, math.copysign(1.0, value))  # keeps -0.0 apart
         elif tv is int:
             key = (int, value)
+        elif by_value:
+            # equal arrays built apart share a register; the bytes keep
+            # -0.0 apart
+            key = (value.dtype, value.shape, value.tobytes())
         else:
             key = (id(value),)  # the tape holds the object, so the id is unique
         reg = self._const_reg.get(key)
         if reg is None:
+            if by_value:
+                # the tape's own copy: a caller writing to its array later
+                # changes no register
+                value = value.copy()
+                value.flags.writeable = False
             reg = self._nreg
             self._nreg += 1
             self._const_reg[key] = reg
@@ -598,19 +643,24 @@ class Tape:
         Literal float zeros fold as they do in the dual algebra: a product
         with one is ``0.0``, ``x + 0.0``, ``0.0 + x`` and ``x - 0.0`` are
         ``x``, and ``0.0 - x`` records ``-x``.  Multiplying or dividing by
-        a literal ``1.0`` records nothing either.  So a term that is
-        structurally absent costs no operation, whoever writes it.  A
-        :func:`last_node` read of an elementwise expression is recorded on
-        the expression's scalar leaves where it can be.
+        a literal ``1.0`` records nothing either, nor does multiplying or
+        dividing a float64 array by a float64 array of ones that keeps its
+        shape.  So a term that is structurally absent costs no operation,
+        whoever writes it.  Sums and products of numbers are memoised
+        with their operands in sorted register order: IEEE ``a + b`` and
+        ``a * b`` equal ``b + a`` and ``b * a`` bit for bit (NaN payloads
+        aside), broadcasting included.  A :func:`last_node` read of an
+        elementwise expression is recorded on the expression's scalar
+        leaves where it can be.
         """
         if fn is operator.mul:
             a, b = args
             if _is_zero(a) or _is_zero(b):
                 return 0.0  # as in the dual algebra: 0 * x is identically zero
-            # x * 1.0 is x bit for bit: no operation
-            if type(b) is float and b == 1.0 and _exact_float(a):
+            # x * 1.0 and x * ones are x bit for bit: no operation
+            if (type(b) is float and b == 1.0 and _exact_float(a)) or _unit_array(b, a):
                 return a
-            if type(a) is float and a == 1.0 and _exact_float(b):
+            if (type(a) is float and a == 1.0 and _exact_float(b)) or _unit_array(a, b):
                 return b
         elif fn is operator.add or fn is operator.sub:
             a, b = args
@@ -624,7 +674,7 @@ class Tape:
                     return b
         elif fn is operator.truediv:
             a, b = args
-            if type(b) is float and b == 1.0 and _exact_float(a):
+            if (type(b) is float and b == 1.0 and _exact_float(a)) or _unit_array(b, a):
                 return a
         elif fn is last_node:
             got = self._read_last_node(args[0].reg)
@@ -632,6 +682,9 @@ class Tape:
                 return got
         regs = tuple([a.reg if type(a) is Traced else self._const(a) for a in args])
         key = (fn,) + regs
+        if (fn is operator.mul or fn is operator.add) and regs[0] > regs[1] \
+                and _numeric(args[0]) and _numeric(args[1]):
+            key = (fn, regs[1], regs[0])  # a * b is b * a bit for bit
         hit = self._memo.get(key)
         if hit is not None:
             got = hit[1]()

@@ -329,6 +329,13 @@ class _EngineLoop:
             programs = self._programs = self.engine.closed_loop_programs(self.law, inputs)
         return programs[diagnostics](inputs)  # False: light, True: full
 
+    @property
+    def ops(self) -> tuple:
+        """``n_ops`` of the light and full program, zeros before recording."""
+        if self._programs is None:
+            return (0, 0)
+        return tuple(p.n_ops for p in self._programs)
+
 
 _SCALAR_RATES = {
     "scalar-A": scalar_A_rates,
@@ -387,6 +394,7 @@ class _ScalarLoop:
 
         self.rhs = rhs
         self.calls = (0, 0)  # light, full: the kernels replay no program
+        self.ops = (0, 0)
 
 
 def _energy_fn(scn: Scenario):
@@ -436,8 +444,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     ``meta["wall_s"]`` is the wall time of the call,
     ``meta["steps_per_s"]`` the accepted steps per second of it, and
     ``meta["light_calls"]``/``meta["full_calls"]`` count the replays of
-    the light and full closed-loop program (zero for the scalar
-    controllers, whose kernels replay no program).
+    the light and full closed-loop program and ``meta["light_ops"]``/
+    ``meta["full_ops"]`` their lengths in operations (all zero for the
+    scalar controllers, whose kernels replay no program).
     """
     started = time.perf_counter()
     scenario.validate()
@@ -603,6 +612,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         "steps_per_s": step_count / wall,
         "light_calls": loop.calls[0],
         "full_calls": loop.calls[1],
+        "light_ops": loop.ops[0],
+        "full_ops": loop.ops[1],
     }
 
     return Trajectory(
@@ -722,7 +733,8 @@ def load_npz(path) -> Trajectory:
             meta={
                 k: meta[k]
                 for k in ("horizon_s", "step_s", "record_every", "lam", "schema",
-                          "wall_s", "steps_per_s", "light_calls", "full_calls")
+                          "wall_s", "steps_per_s", "light_calls", "full_calls",
+                          "light_ops", "full_ops")
                 if k in meta
             },
         )

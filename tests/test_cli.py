@@ -25,6 +25,8 @@ def test_run_writes_artifacts(tmp_path):
     assert np.array_equal(diag["t"], data["t"])
     # the scalar kernels replay no recorded program
     assert ", 0 light + 0 full program calls" in report
+    timing = next(line for line in report.splitlines() if line.startswith("timing:"))
+    assert timing.endswith(" full program calls, 0 light + 0 full ops")
 
 
 def test_run_with_override_reproduces_baseline(tmp_path):

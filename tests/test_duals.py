@@ -250,3 +250,121 @@ def test_passes_share_code_and_take_their_own_inputs():
     assert second((3.0, 2.0)) == (24.0,)
     with pytest.raises(ValueError, match="reads inputs it does not take"):
         tape.compile(Pass((loop,), inputs=(x,)))
+
+
+# -- one register per value --------------------------------------------------
+
+
+def test_equal_constant_arrays_share_a_register():
+    from expstab.duals import Tape
+
+    tape = Tape()
+    x = tape.input(np.array([0.5, -2.0]))
+    first = x * np.array([2.0, 3.0])
+    again = x * np.array([2.0, 3.0])  # an equal array, built apart
+    assert again is first and len(tape) == 1
+    assert tape._const(np.array([2.0, 3.0])) == tape._const(np.arange(2.0, 4.0))
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.array([0.0]), np.array([-0.0])),
+    (np.array([2.0], dtype=np.float32), np.array([2.0])),
+    (np.full(9, 2.0), np.full((9, 1), 2.0)),
+])
+def test_constants_differing_in_sign_dtype_or_shape_stay_apart(a, b):
+    from expstab.duals import Tape
+
+    tape = Tape()
+    x = tape.input(np.linspace(0.5, 1.5, len(a)))
+    pa, pb = x * a, x * b
+    assert len(tape) == 2 and tape._const(a) != tape._const(b)
+    prog = tape.compile((pa, pb))[0]
+    v = np.linspace(-1.0, 1.0, len(a))
+    got_a, got_b = prog((v,))
+    for got, want in ((got_a, v * a), (got_b, v * b)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_writing_to_a_recorded_constant_changes_no_replay():
+    from expstab.duals import Tape
+
+    c = np.array([2.0, 3.0])
+    tape = Tape()
+    x = tape.input(np.array([1.0, 1.0]))
+    before = x * c
+    c[:] = 7.0
+    after = x * c  # a new value: a new register, not the old one
+    prog = tape.compile((before, after))[0]
+    got_before, got_after = prog((np.array([1.0, 2.0]),))
+    assert np.array_equal(got_before, [2.0, 6.0])
+    assert np.array_equal(got_after, [7.0, 14.0])
+    assert all(not c.flags.writeable for c in tape._consts.values()
+               if type(c) is np.ndarray)
+
+
+def test_commuted_sums_and_products_are_recorded_once():
+    from expstab.duals import Tape
+
+    tape = Tape()
+    a, b = tape.input(np.array([[1.0, 2.0], [3.0, 4.0]])), tape.input(np.eye(2) - 0.5)
+    column = np.array([[0.5], [-1.5]])
+    product, total, scaled = a * b, a + b, column * a
+    recorded = len(tape)
+    assert b * a is product and b + a is total and a * column is scaled
+    assert len(tape) == recorded
+    others = (b - a, a - b, b / a, a / b, b @ a, a @ b)
+    assert len(tape) == recorded + len(others)
+    prog = tape.compile((product, total, scaled) + others)[0]
+    va, vb = np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([[3.0, 1.0], [-2.0, 4.0]])
+    want = (va * vb, va + vb, column * va, vb - va, va - vb, vb / va, va / vb, vb @ va, va @ vb)
+    for got, w in zip(prog((va, vb)), want):
+        assert np.array_equal(got, w)
+
+
+def test_concatenation_is_not_commuted():
+    from expstab.duals import Tape
+
+    tail = (2.0,)
+    tape = Tape()
+    head = tape.input((1.0,))
+    front, back = head + tail, tail + head
+    assert front is not back and len(tape) == 2
+    assert tape.compile((front, back))[0](((5.0,),)) == ((5.0, 2.0), (2.0, 5.0))
+
+
+@pytest.mark.parametrize("x,ones", [
+    (np.linspace(-0.9, 1.1, 9), np.ones(9)),
+    (np.linspace(-0.9, 1.1, 9), np.ones(1)),
+    (np.linspace(-0.9, 1.1, 9), np.array(1.0)),
+    (np.arange(81.0).reshape(9, 9), np.ones(9)),
+    (np.arange(81.0).reshape(9, 9), np.ones((9, 1))),
+])
+def test_unit_arrays_fold(x, ones):
+    from expstab.duals import Tape
+
+    tape = Tape()
+    t = tape.input(x)
+    assert t * ones is t and ones * t is t and t / ones is t
+    assert len(tape) == 0
+
+
+@pytest.mark.parametrize("x,ones", [
+    (2.5, np.ones(1)),                                   # a scalar leaf grows a shape
+    (np.linspace(-0.9, 1.1, 9), np.ones((9, 1))),        # the product broadcasts
+    (np.array([0.5]), np.ones(9)),
+    (np.linspace(-0.9, 1.1, 9, dtype=np.float32), np.ones(9)),
+    (np.linspace(-0.9, 1.1, 9), np.ones(9, dtype=np.float32)),
+    (np.linspace(-0.9, 1.1, 9), np.array([1.0] * 8 + [1.0 + 2.0**-52])),
+])
+def test_near_unit_arrays_are_recorded(x, ones):
+    from expstab.duals import Tape
+
+    tape = Tape()
+    t = tape.input(x)
+    outs = (t * ones, ones * t, t / ones, ones / t)
+    assert len(tape) == 3  # the commuted product is the same operation
+    got = tape.compile(outs)[0]((x,))
+    for g, w in zip(got, (x * ones, ones * x, x / ones, ones / x)):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)

@@ -216,10 +216,10 @@ def test_fresh_tags_are_unique_across_threads():
     assert len(tags) == 20000 and len(set(tags)) == len(tags)
 
 
-# (light, full) operation counts of the fixture programs when the recursion
-# tested every term for a literal zero itself; the tape's zero folds must
-# prune at least as much
-_ZERO_TESTED_OPS = {1: (31, 49), 2: (30, 62), 3: (1016, 1098), 4: (12511, 12659)}
+# (light, full) operation counts of the fixture programs: the tape's zero
+# and unit folds, its value-keyed constants and its commuted sums and
+# products must keep them this small
+_ZERO_TESTED_OPS = {1: (26, 39), 2: (22, 39), 3: (829, 892), 4: (8573, 8690)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -348,3 +348,21 @@ def test_recording_frees_its_tape(monkeypatch):
         assert [ref() for ref in tapes] == [None, None]
     finally:
         gc.enable()
+
+
+def test_order3_tape_holds_each_constant_once(monkeypatch):
+    tapes = []
+
+    class Kept(duals.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr("expstab.backstepping.Tape", Kept)
+    syn = build_synthetic("theorem1", seed=0)
+    BacksteppingEngine(syn.model, syn.gains).closed_loop_programs(
+        control_theorem1, (0.3, -0.2, 0.4, 0.1, 0.0, -0.5, 1.2, 0.1, -0.1, -1.0))
+    (tape,) = tapes
+    arrays = [c for c in tape._consts.values() if type(c) is np.ndarray]
+    assert len(arrays) > 10
+    assert len({(c.dtype, c.shape, c.tobytes()) for c in arrays}) == len(arrays)

@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from expstab import scenarios
 from expstab.nussbaum import NussbaumSpec
 from expstab.scenarios import (
     WING_ROCK_TABLE,
@@ -14,6 +18,7 @@ from expstab.scenarios import (
     square_sign,
     wing_rock_model,
 )
+from expstab.sim import simulate
 
 
 def test_benchmark_constants_match_table():
@@ -128,3 +133,72 @@ def test_registry_builds_every_name():
     for name in scenario_names():
         scn = build_named(name)
         scn.validate()
+
+
+def _wing_rock_signals_per_call():
+    """The wing-rock signals with each one evaluating its own epoch."""
+    tbl = WING_ROCK_TABLE
+    th_nom, frac, rate = tbl["theta_nominal"], tbl["theta_wobble_fraction"], tbl["wobble_rate"]
+
+    def theta_signal(t):
+        w = 1.0 + frac * scenarios.square_sign(t, rate)
+        return (th_nom[0] * w, th_nom[1] * w)
+
+    def b_signal(t):
+        return tbl["b_nominal"] + tbl["b_wobble_amplitude"] * scenarios.square_sign(t, rate) * math.cos(t)
+
+    return theta_signal, b_signal
+
+
+def test_wing_rock_signals_share_each_epoch(monkeypatch):
+    calls = [0]
+
+    def counted(t, rate):
+        calls[0] += 1
+        return square_sign(t, rate)
+
+    monkeypatch.setattr(scenarios, "square_sign", counted)
+    scn = build_wing_rock("theorem2", horizon=1.2)  # across the jump at pi/3
+    calls[0] = 0
+    shared = simulate(scn)
+    shared_calls, calls[0] = calls[0], 0
+    theta_signal, b_signal = _wing_rock_signals_per_call()
+    each = simulate(replace(scn, model=replace(scn.model, theta_signal=theta_signal,
+                                               b_signal=b_signal)))
+    assert shared_calls > 0 and 2 * shared_calls == calls[0]
+    assert shared.status == each.status == "completed"
+    assert shared.monitors == each.monitors
+    for name in ("t", "x", "u", "theta_hat", "aux", "s"):
+        assert np.array_equal(getattr(shared, name), getattr(each, name)), name
+    for k in each.diag:
+        assert np.array_equal(shared.diag[k], each.diag[k]), k
+
+
+def test_shared_epoch_signals_stay_pure_across_threads():
+    model = wing_rock_model()
+    theta_signal, b_signal = _wing_rock_signals_per_call()
+    rate = WING_ROCK_TABLE["wobble_rate"]
+    times = np.random.default_rng(0).uniform(0.0, 4.0, 200)
+    times = np.concatenate([times, np.arange(1, 5) * math.pi / rate])  # jump instants
+    expected = {t: (theta_signal(t), b_signal(t)) for t in times.tolist()}
+    bad = []
+
+    def worker(order):
+        for t in order:
+            if (model.theta_signal(t), model.b_signal(t)) != expected[t]:
+                bad.append(t)
+
+    rng = np.random.default_rng(1)
+    threads = [threading.Thread(target=worker, args=(rng.choice(times, 20000).tolist(),))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the two signals' reads
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not bad

@@ -212,6 +212,9 @@ def test_npz_round_trip_bit_exact(tmp_path, short_run):
     steps = short_run.monitors["steps"]
     assert back.meta["full_calls"] == short_run.meta["full_calls"] == steps + 1
     assert back.meta["light_calls"] == short_run.meta["light_calls"] == 3 * steps
+    # the lengths of the two closed-loop programs the run replayed
+    assert back.meta["light_ops"] == short_run.meta["light_ops"] > 0
+    assert back.meta["full_ops"] == short_run.meta["full_ops"] > short_run.meta["light_ops"]
 
 
 def test_run_timing_in_meta(short_run):
