@@ -42,13 +42,14 @@ adaptation gain, a dead sensitivity direction) fold away in
 cost neither arithmetic nor recorded operations.  A traced leaf is never
 a literal zero, so no fold depends on the state.  The replay computes
 each quantity the nested derivative contexts re-derive only once, keeps
-only the operations an output depends on (the diagnostics-light pass
-drops the layer matrices, residuals and records), and builds no dual at
-all.  For a closed-loop run the same recording also runs the input law
+only the operations an output depends on, and builds no dual at all.
+For a closed-loop run the recording goes on to run the input law
 (:func:`control_theorem1` or :func:`control_theorem2`, unchanged), the
 estimator rates and the plant's right-hand side on the traced cascade,
-with the parameter signals as further inputs; one replay of
-:meth:`BacksteppingEngine.closed_loop_programs` is then a whole stage.
+with the parameter signals as further inputs, and compiles only the
+closed loop's outputs; one replay of
+:meth:`BacksteppingEngine.closed_loop_program` is then a whole stage,
+diagnostics included.  Each recording compiles exactly one program.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import numpy as np
 
 from .duals import (
     Dual,
-    Pass,
+    Program,
     Tape,
     Traced,
     fresh_tag,
@@ -239,9 +240,8 @@ class EngineEval:
 
     Per-layer sequences are 0-based (entry ``i-1`` for layer i).  ``W``
     holds the layer matrices as nested tuples, ``W[i-1][l][c]`` being the
-    (l, c) element of the i x q matrix of layer i.  Diagnostics-light
-    evaluations leave ``W``, ``w``, ``tau``, ``grad_alpha``, ``psi`` and
-    the residuals as ``None``.
+    (l, c) element of the i x q matrix of layer i.  Every field is
+    filled on every evaluation.
     """
 
     __slots__ = (
@@ -301,12 +301,10 @@ def terminal_gain(n: int, cfg: GainConfig, w_frob_sq, psi_bar_sq):
     )
 
 
-# the EngineEval fields a pass produces, and the diagnostics-light subset
+# the EngineEval fields a recorded evaluation produces, in program order
 _FULL_FIELDS = ("z", "s", "phi", "w", "tau", "alpha", "grad_alpha", "W",
                 "W_frob_sq", "zeta", "psi", "psi_bar", "kappa", "resid_w",
                 "resid_psi", "theta_hat_dot")
-_LIGHT = tuple(_FULL_FIELDS.index(f) for f in
-               ("z", "s", "phi", "alpha", "zeta", "psi_bar", "kappa", "theta_hat_dot"))
 
 
 class BacksteppingEngine:
@@ -355,8 +353,8 @@ class BacksteppingEngine:
             for m in range(1, model.n + 1)
         }
         self._sigma_shapes = {0: self._sigma}
-        self._programs = None  # evaluate's (light, full), recorded on first use
-        self._loop = None  # (law, light, full) of the closed loop under law
+        self._program = None  # evaluate's, recorded on first use
+        self._loop = None  # (law, program) of the closed loop under law
         self._record_lock = threading.Lock()
 
     def _sigma_by_ndim(self, ndim: int) -> np.ndarray:
@@ -628,53 +626,48 @@ class BacksteppingEngine:
         )
 
     def _closed_loop(self, law, fields: tuple, x, th, aux, mu, theta, b) -> tuple:
-        """Light and full outputs of the closed-loop right-hand side.
+        """Outputs of the closed-loop right-hand side.
 
         ``fields`` is :meth:`_cascade` at the snapshot (x, th, mu); ``aux``
         is the law's own state, ``theta`` and ``b`` the parameter signals.
-        The light outputs are ``(dy, u)``, ``dy`` being the rates of
-        ``x + theta_hat + (aux,)``; the full ones add ``s``, ``kappa``,
-        ``resid_w`` and ``resid_psi``.  Runs in any algebra.
+        The outputs are ``(dy, u, s, kappa, resid_w, resid_psi)``, ``dy``
+        being the rates of ``x + theta_hat + (aux,)``.  Runs in any algebra.
         """
         ev = EngineEval(None, x, th, mu, *fields)
         u, aux_dot, th_dot = law(ev, aux, self.cfg)
-        light = (plant_rates(ev.phi, x, theta, b, u) + th_dot + (aux_dot,), u)
-        return light, light + (ev.s, ev.kappa, ev.resid_w, ev.resid_psi)
+        dy = plant_rates(ev.phi, x, theta, b, u) + th_dot + (aux_dot,)
+        return dy, u, ev.s, ev.kappa, ev.resid_w, ev.resid_psi
 
-    def _record(self, inputs: tuple, law=None) -> tuple:
-        """Record the cascade once at ``inputs`` and compile its programs.
+    def _record(self, inputs: tuple, law=None) -> Program:
+        """Record the cascade once at ``inputs`` and compile its program.
 
         Without ``law``, ``inputs`` is ``x + theta_hat + (mu,)`` and the
-        result is :meth:`evaluate`'s (light, full) pair.  With a law it is
-        ``x + theta_hat + (aux, mu) + theta + (b,)``: the same recording
-        then runs the law, the estimator rates and the plant on the traced
-        cascade (:meth:`_closed_loop`), and the result is the closed loop's
-        (light, full) pair.  Evaluate's programs come from that tape too.
+        result is :meth:`evaluate`'s program, returning every
+        ``_FULL_FIELDS`` entry.  With a law it is
+        ``x + theta_hat + (aux, mu) + theta + (b,)``: the recording then
+        runs the law, the estimator rates and the plant on the traced
+        cascade (:meth:`_closed_loop`), and the result is the closed
+        loop's program.
         """
         with self._record_lock:
-            if law is None and self._programs is not None:
-                return self._programs
-            if law is not None and self._loop is not None and self._loop[0] is law:
-                return self._loop[1:]
+            if law is None:
+                if self._program is not None:
+                    return self._program
+            elif self._loop is not None and self._loop[0] is law:
+                return self._loop[1]
             n, q = self.n, self.q
             tape = Tape()
             leaves = tuple([tape.input(v) for v in inputs])
             x, th = leaves[:n], leaves[n:n + q]
-            mu = leaves[n + q] if law is None else leaves[n + q + 1]
-            fields = self._cascade(x, th, mu)
-            at = x + th + (mu,)
-            passes = [Pass(tuple(fields[i] for i in _LIGHT), inputs=at),
-                      Pass(fields, extends=(0,), inputs=at)]
-            if law is not None:
-                light, full = self._closed_loop(law, fields, x, th, leaves[n + q], mu,
-                                                leaves[n + q + 2:-1], leaves[-1])
-                passes += [Pass(light, extends=(0,)), Pass(full, extends=(1, 2))]
-            programs = tape.compile(*passes)
-            self._programs = programs[:2]
             if law is None:
-                return self._programs
-            self._loop = (law,) + programs[2:]
-            return programs[2:]
+                self._program = tape.compile(self._cascade(x, th, leaves[n + q]))
+                return self._program
+            mu = leaves[n + q + 1]
+            program = tape.compile(self._closed_loop(
+                law, self._cascade(x, th, mu), x, th, leaves[n + q], mu,
+                leaves[n + q + 2:-1], leaves[-1]))
+            self._loop = (law, program)
+            return program
 
     # -- public entry points -----------------------------------------------
 
@@ -682,13 +675,8 @@ class BacksteppingEngine:
                  diagnostics: bool = True) -> EngineEval:
         """Run the full cascade at a snapshot.
 
-        With ``diagnostics=False`` the pass skips the layer matrices,
-        residuals, tuning-function record and virtual-law partials
-        (everything the input law itself does not need); the
-        corresponding fields come back ``None``.  The simulator uses light
-        passes for the inner Runge-Kutta stages and a full pass on each
-        accepted state, where the residual monitors run.  Both replay the
-        engine's recording of :meth:`_cascade`.
+        Every call replays the engine's recording of :meth:`_cascade` and
+        fills every field.  ``diagnostics`` is accepted and has no effect.
         """
         n, q = self.n, self.q
         x = tuple([float(v) for v in x])
@@ -699,27 +687,23 @@ class BacksteppingEngine:
             mu = math.exp(self._lam * t) if self.cfg.scaled else 1.0
         mu = float(mu)
         inputs = x + th + (mu,)
-        light, full = self._programs or self._record(inputs)
-        if diagnostics:
-            (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
-             psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = full(inputs)
-            grad_alpha = tuple(GradParts(*g) for g in grad_alpha)
-        else:
-            z, s, phi, alpha, zeta, psi_bar, kappa, theta_hat_dot = light(inputs)
-            w = tau = grad_alpha = W = W_frob_sq = psi = resid_w = resid_psi = None
-        return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha, grad_alpha, W,
-                          W_frob_sq, zeta, psi, psi_bar, kappa, resid_w, resid_psi,
+        program = self._program or self._record(inputs)
+        (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
+         psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = program(inputs)
+        return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha,
+                          tuple(GradParts(*g) for g in grad_alpha), W, W_frob_sq,
+                          zeta, psi, psi_bar, kappa, resid_w, resid_psi,
                           theta_hat_dot)
 
-    def closed_loop_programs(self, law, inputs: tuple) -> tuple:
-        """The closed loop's (light, full) programs under ``law``.
+    def closed_loop_program(self, law, inputs: tuple) -> Program:
+        """The closed loop's program under ``law``.
 
         ``law`` is :func:`control_theorem1` or :func:`control_theorem2`
-        (or a stand-in with their signature).  Both programs map
-        ``x + theta_hat + (aux, mu) + theta + (b,)`` to ``(dy, u)``, the
-        full one followed by ``s``, ``kappa``, ``resid_w`` and
-        ``resid_psi``; ``dy`` holds the rates of ``x + theta_hat + (aux,)``.
-        The first call records them at ``inputs``.
+        (or a stand-in with their signature).  The program maps
+        ``x + theta_hat + (aux, mu) + theta + (b,)`` to ``(dy, u, s,
+        kappa, resid_w, resid_psi)``; ``dy`` holds the rates of
+        ``x + theta_hat + (aux,)``.  The first call records it at
+        ``inputs``.
         """
         return self._record(inputs, law)
 

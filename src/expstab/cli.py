@@ -219,9 +219,8 @@ def _write_report(traj: Trajectory, out_dir: Path, quiet: bool) -> list:
         f"steps:      {traj.monitors['steps']} (recorded {len(traj.t)})",
         f"horizon:    {traj.meta['horizon_s']} s at step {traj.meta['step_s']} s",
         f"timing:     {traj.meta['wall_s']:.4g} s wall, "
-        f"{traj.meta['steps_per_s']:.6g} steps/s, {traj.meta['light_calls']} light + "
-        f"{traj.meta['full_calls']} full program calls, {traj.meta['light_ops']} light + "
-        f"{traj.meta['full_ops']} full ops",
+        f"{traj.meta['steps_per_s']:.6g} steps/s, {traj.meta['program_calls']} program "
+        f"calls of {traj.meta['program_ops']} ops",
     ]
     fails = _monitor_failures(traj)
     if traj.completed:

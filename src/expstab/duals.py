@@ -41,9 +41,7 @@ every input of the recorded types and shapes.  A :func:`last_node` read
 of an array that is an elementwise expression of scalars and constants
 (the base value of a quadrature ray, read off its sigma = 1 node) is
 recorded as the same expression on scalars, so it costs neither the
-read nor, where nothing else reads them, the array operations.  One
-tape compiles into several programs that share generated code
-(:class:`Pass`).
+read nor, where nothing else reads them, the array operations.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ __all__ = [
     "sqrt",
     "Tape",
     "Traced",
-    "Pass",
     "Program",
     "lift",
     "to_float",
@@ -543,24 +540,6 @@ _ELEMENTWISE = frozenset([operator.add, operator.sub, operator.mul, operator.neg
 _CHUNK_OPS = 200
 
 
-class Pass:
-    """One program for :meth:`Tape.compile` to generate.
-
-    ``outputs`` is a nested tuple of traced values and constants.  The
-    program first runs the operations of the earlier passes it
-    ``extends`` (by index), sharing their generated code.  ``inputs``
-    lists the traced inputs it takes, in call order; by default it takes
-    every input of the tape, in recording order.
-    """
-
-    __slots__ = ("outputs", "extends", "inputs")
-
-    def __init__(self, outputs, extends: tuple = (), inputs=None):
-        self.outputs = outputs
-        self.extends = extends
-        self.inputs = inputs
-
-
 def _flatten(node, reg_of, out: list) -> None:
     if type(node) is tuple or type(node) is list:
         for e in node:
@@ -754,55 +733,26 @@ class Tape:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def compile(self, *passes) -> tuple:
-        """One :class:`Program` per pass; bare outputs extend the pass before.
+    def compile(self, outputs) -> "Program":
+        """The :class:`Program` from the tape's inputs to ``outputs``.
 
-        Each pass generates code only for the operations its outputs need
-        beyond the passes it extends, so programs that share work share
-        code: program i runs the segments of the passes it extends and its
-        own, in pass order.  (Should a pass need an operation that only a
-        pass it does not extend generates, it runs that pass's segment
-        too.)  Only operations some output depends on are kept, and a
-        register is reused as soon as its last reader has run, so a replay
-        holds no more intermediate arrays at once than the live set
-        requires.
+        ``outputs`` is a nested tuple of traced values and constants; the
+        program takes every input of the tape, in recording order, and
+        returns ``outputs`` with the same nesting.  Only operations some
+        output depends on are kept, and a register is reused as soon as
+        its last reader has run, so a replay holds no more intermediate
+        arrays at once than the live set requires.
         """
-        specs = [p if type(p) is Pass else Pass(p, (i - 1,) if i else ())
-                 for i, p in enumerate(passes)]
         reg_of = self._reg_of
-        outs = []  # per pass, its output registers
-        runs = []  # per pass, the passes whose segments its program runs
-        segments = []
-        home = {}  # operation output register -> the pass that generates it
-        for i, spec in enumerate(specs):
-            run = {i}
-            for j in spec.extends:
-                run |= runs[j]
-            regs = []
-            _flatten(spec.outputs, reg_of, regs)
-            outs.append(regs)
-            need = set(regs)
-            segment = []
-            for op in reversed(self._ops):
-                if op[1] not in need:
-                    continue
-                where = home.get(op[1])
-                if where is None:
-                    segment.append(op)
-                    need.update(op[2])
-                elif where not in run:
-                    run |= runs[where]
-            segment.reverse()
-            for op in segment:
-                home[op[1]] = i
-            segments.append(segment)
-            runs.append(run)
-
-        order = [op for segment in segments for op in segment]
-        out_regs = [reg for regs in outs for reg in regs]
+        out_regs = []
+        _flatten(outputs, reg_of, out_regs)
         used = set(out_regs)
-        for op in order:
-            used.update(op[2])
+        order = []
+        for op in reversed(self._ops):
+            if op[1] in used:
+                order.append(op)
+                used.update(op[2])
+        order.reverse()
         slot = {reg: i for i, reg in enumerate(self._inputs)}
         init = [None] * len(slot)
         for reg in sorted(used):
@@ -840,42 +790,16 @@ class Tape:
         def ref(node):
             return f"r[{slot[reg_of(node)]}]"
 
-        src = []
-        chunks = []  # per pass, the names of its segment's chunks
-        start = 0
-        for segment in segments:
-            end = start + len(segment)
-            names = []
-            for lo in range(start, end, _CHUNK_OPS):
-                names.append(f"_c{lo}")
-                src.append(f"def _c{lo}(r):\n" + "\n".join(lines[lo:min(end, lo + _CHUNK_OPS)]) + "\n")
-            chunks.append(names)
-            start = end
-        for i, spec in enumerate(specs):
-            src.append(f"def _out{i}(r):\n    return {_render(spec.outputs, ref)}\n")
+        starts = range(0, len(lines), _CHUNK_OPS)
+        src = [f"def _c{lo}(r):\n" + "\n".join(lines[lo:lo + _CHUNK_OPS]) + "\n"
+               for lo in starts]
+        src.append(f"def _out(r):\n    return {_render(outputs, ref)}\n")
         namespace = {"F": tuple(fns)}
         for part in src:  # one function at a time bounds the compiler's memory
             exec(compile(part, "<recorded program>", "exec"), namespace)
-
-        input_regs = set(self._inputs)
-        programs = []
-        for i, spec in enumerate(specs):
-            taken = self._inputs if spec.inputs is None else [t.reg for t in spec.inputs]
-            read = set(outs[i])
-            for j in runs[i]:
-                for op in segments[j]:
-                    read.update(op[2])
-            if not read & input_regs <= set(taken):
-                raise ValueError(f"pass {i} reads inputs it does not take")
-            run = sorted(runs[i])
-            programs.append(Program(
-                init,
-                tuple(slot[reg] for reg in taken),
-                tuple(namespace[c] for j in run for c in chunks[j]),
-                namespace[f"_out{i}"],
-                sum(len(segments[j]) for j in run),
-            ))
-        return tuple(programs)
+        return Program(init, len(self._inputs),
+                       tuple(namespace[f"_c{lo}"] for lo in starts),
+                       namespace["_out"], len(order))
 
 
 class Program:
@@ -884,13 +808,11 @@ class Program:
     Calls share no state, so one program may serve concurrent callers.
     """
 
-    __slots__ = ("_init", "_n_inputs", "_in_slots", "_chunks", "_out", "n_ops")
+    __slots__ = ("_init", "_n_inputs", "_chunks", "_out", "n_ops")
 
-    def __init__(self, init, in_slots, chunks, out, n_ops):
-        self._init = init
-        self._n_inputs = len(in_slots)
-        # None when the inputs fill the leading registers in call order
-        self._in_slots = None if in_slots == tuple(range(len(in_slots))) else in_slots
+    def __init__(self, init, n_inputs, chunks, out, n_ops):
+        self._init = init  # the inputs' registers lead, then the constants
+        self._n_inputs = n_inputs
         self._chunks = chunks
         self._out = out
         self.n_ops = n_ops
@@ -901,11 +823,7 @@ class Program:
                 f"program recorded for {self._n_inputs} inputs, got {len(inputs)}"
             )
         r = self._init[:]
-        if self._in_slots is None:
-            r[: self._n_inputs] = inputs
-        else:
-            for s, v in zip(self._in_slots, inputs):
-                r[s] = v
+        r[: self._n_inputs] = inputs
         for chunk in self._chunks:
             chunk(r)
         return self._out(r)

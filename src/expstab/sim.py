@@ -14,12 +14,12 @@ replay of a recorded closed-loop program: the engine records its
 cascade, the input law, the estimator rates and the plant's right-hand
 side together once per run, with the parameter signals ``theta(tp)`` and
 ``b(tp)`` as inputs, so a stage maps ``y + (mu,) + theta(tp) + (b(tp),)``
-to the state rates and the input.  The signals are evaluated once per
-distinct signal time: both midpoint stages of a step share it, and a
-step's first stage shares the previous step's last, so a step evaluates
-them about twice instead of four times.  The first stage of each step
-sits exactly on the accepted state; it replays the full program, whose
-diagnostics feed the per-step monitors:
+to the state rates, the input and the diagnostics.  For every controller
+the signals are evaluated once per distinct signal time: both midpoint
+stages of a step share it, and a step's first stage shares the previous
+step's last, so a step evaluates them about twice instead of four times.
+The first stage of each step sits exactly on the accepted state, and its
+outputs feed the per-step monitors:
 
 * non-finite or exploding states mark the run diverged;
 * a Nussbaum argument leaving its safe range marks it overflowed;
@@ -247,8 +247,8 @@ def rk4_step(f, t0: float, t1: float, y: tuple, k1: tuple, tp1: float) -> tuple:
 
     ``f(t, y, tp)`` returns a tuple whose first item is dy/dt as a tuple;
     ``tp`` is the time at which it queries the parameter signals.  The
-    caller passes the first stage ``k1`` (it evaluates it itself, with
-    diagnostics) and ``tp1``, the signal time of the last stage.
+    caller passes the first stage ``k1`` (it evaluates it itself, for the
+    monitors) and ``tp1``, the signal time of the last stage.
     """
     h = t1 - t0
     h2 = 0.5 * h
@@ -282,15 +282,39 @@ def integrate_fixed(f, y0, grid):
     return out
 
 
+def _signal_reader(model: SystemModel):
+    """``tp -> theta(tp) + (b(tp),)`` as floats, evaluated once per distinct ``tp``.
+
+    Both midpoint stages of a step share a signal time, and a step's first
+    stage shares the previous step's last.  A short theta raises
+    IndexError.
+    """
+    theta_signal = model.theta_signal
+    b_signal = model.b_signal
+    components = range(model.q)
+    last_tp = None
+    values = None
+
+    def signals(tp: float) -> tuple:
+        nonlocal last_tp, values
+        if tp != last_tp:
+            theta = theta_signal(tp)
+            got = ()
+            for c in components:  # cheaper than a comprehension for a few
+                got += (float(theta[c]),)
+            values = got + (float(b_signal(tp)),)
+            last_tp = tp
+        return values
+
+    return signals
+
+
 class _EngineLoop:
     """RHS assembly for the full backstepping controllers.
 
     A stage is one replay of the engine's closed-loop program, recorded
     on the first stage: it maps ``y + (mu,) + (theta(tp), b(tp))`` to
-    ``(dy, u)``, and with diagnostics also to ``s``, ``kappa``,
-    ``resid_w`` and ``resid_psi``.  The signals are evaluated once per
-    distinct ``tp``: both midpoint stages of a step share it, and a step's
-    first stage shares the previous step's last.
+    ``(dy, u, s, kappa, resid_w, resid_psi)``.
     """
 
     def __init__(self, scn: Scenario):
@@ -303,38 +327,23 @@ class _EngineLoop:
         th0 = tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
         aux0 = scn.xi0 if scn.controller == "theorem2" else scn.rho_hat0
         self.y0 = tuple(float(v) for v in scn.x0) + th0 + (float(aux0),)
-        self.calls = [0, 0]  # light, full program replays
-        self._theta_signal = scn.model.theta_signal
-        self._b_signal = scn.model.b_signal
-        self._components = range(scn.model.q)
-        self._tp = None
-        self._sig = None
-        self._programs = None
+        self.calls = 0  # program replays
+        self._signals = _signal_reader(scn.model)
+        self._program = None
 
-    def signals(self, tp: float) -> tuple:
-        """``theta(tp) + (b(tp),)`` as floats; a short theta raises IndexError."""
-        theta = self._theta_signal(tp)
-        b = self._b_signal(tp)
-        return tuple([float(theta[c]) for c in self._components]) + (float(b),)
-
-    def rhs(self, t, y, tp, diagnostics=False):
-        if tp != self._tp:
-            self._sig = self.signals(tp)
-            self._tp = tp
+    def rhs(self, t, y, tp):
         lam = self.lam
-        inputs = y + (math.exp(lam * t) if lam != 0.0 else 1.0,) + self._sig
-        self.calls[diagnostics] += 1
-        programs = self._programs
-        if programs is None:
-            programs = self._programs = self.engine.closed_loop_programs(self.law, inputs)
-        return programs[diagnostics](inputs)  # False: light, True: full
+        inputs = y + (math.exp(lam * t) if lam != 0.0 else 1.0,) + self._signals(tp)
+        self.calls += 1
+        program = self._program
+        if program is None:
+            program = self._program = self.engine.closed_loop_program(self.law, inputs)
+        return program(inputs)
 
     @property
-    def ops(self) -> tuple:
-        """``n_ops`` of the light and full program, zeros before recording."""
-        if self._programs is None:
-            return (0, 0)
-        return tuple(p.n_ops for p in self._programs)
+    def ops(self) -> int:
+        """``n_ops`` of the closed-loop program, zero before recording."""
+        return 0 if self._program is None else self._program.n_ops
 
 
 _SCALAR_RATES = {
@@ -362,39 +371,38 @@ class _ScalarLoop:
         self.y0 = y0
 
         rates = _SCALAR_RATES[scn.controller]
-        theta_signal = scn.model.theta_signal
-        b_signal = scn.model.b_signal
+        signals = _signal_reader(scn.model)
         regressor = scn.model.regressors[0]
         components = range(scn.model.q)
         exp = math.exp
 
         def plant(x, u, tp):
-            theta_t = theta_signal(tp)
-            acc = float(b_signal(tp)) * u
+            sig = signals(tp)
+            acc = sig[-1] * u
             phi = regressor(x)
             for c in components:
                 pc = phi[c]
                 if type(pc) is float and pc == 0.0:
                     continue
-                acc += pc * float(theta_t[c])
+                acc += pc * sig[c]
             return acc
 
         if scn.controller == "scalar-C":
-            def rhs(t, y, tp, diagnostics=False):
+            def rhs(t, y, tp):
                 x, a_hat, xi = y
                 mu = exp(lam * t)
                 u, a_dot, xi_dot = rates(x, a_hat, mu, mu * x, xi, gains)
                 return (plant(x, u, tp), a_dot, xi_dot), u
         else:
-            def rhs(t, y, tp, diagnostics=False):
+            def rhs(t, y, tp):
                 x, a_hat = y
                 mu = exp(lam * t)
                 u, a_dot = rates(x, a_hat, mu, mu * x, gains)
                 return (plant(x, u, tp), a_dot), u
 
         self.rhs = rhs
-        self.calls = (0, 0)  # light, full: the kernels replay no program
-        self.ops = (0, 0)
+        self.calls = 0  # the kernels replay no program
+        self.ops = 0
 
 
 def _energy_fn(scn: Scenario):
@@ -443,10 +451,9 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     ``meta["wall_s"]`` is the wall time of the call,
     ``meta["steps_per_s"]`` the accepted steps per second of it, and
-    ``meta["light_calls"]``/``meta["full_calls"]`` count the replays of
-    the light and full closed-loop program and ``meta["light_ops"]``/
-    ``meta["full_ops"]`` their lengths in operations (all zero for the
-    scalar controllers, whose kernels replay no program).
+    ``meta["program_calls"]`` counts the replays of the closed-loop
+    program and ``meta["program_ops"]`` is its length in operations (both
+    zero for the scalar controllers, whose kernels replay no program).
     """
     started = time.perf_counter()
     scenario.validate()
@@ -455,10 +462,10 @@ def simulate(scenario: Scenario) -> Trajectory:
         scenario.horizon, scenario.step, model.breakpoints(scenario.horizon)
     )
 
-    # an engine stage with diagnostics returns (dy, u, s, kappa, resid_w,
-    # resid_psi), any other stage (dy, u)
-    diagnostics = scenario.controller in ENGINE_CONTROLLERS
-    if diagnostics:
+    # an engine stage returns (dy, u, s, kappa, resid_w, resid_psi), a
+    # scalar one (dy, u)
+    engine = scenario.controller in ENGINE_CONTROLLERS
+    if engine:
         loop = _EngineLoop(scenario)
         resid_tol = scenario.gains.resid_tol
         q = model.q
@@ -508,7 +515,7 @@ def simulate(scenario: Scenario) -> Trajectory:
             aux_rec[idx, 0] = y[-1]
         mu = math.exp(lam * t)
         mu_rec[idx] = mu
-        if diagnostics:
+        if engine:
             th_rec[idx] = y[n : n + q]
             _, _, s_vec, kappa, resid_w, resid_psi = out
             diag_rec["kappa"][idx] = kappa
@@ -537,7 +544,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 # staying far below the integration error
                 tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
 
-                out = rhs(t0, y, t0, diagnostics)
+                out = rhs(t0, y, t0)
 
                 if resid_tol is not None:
                     r = max(max(out[4]), out[5])
@@ -584,7 +591,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         # final accepted state
         t_end = float(segments[-1][-1])
         try:
-            out = rhs(t_end, y, t_end - 1e-12, diagnostics)
+            out = rhs(t_end, y, t_end - 1e-12)
         except _NUMERICAL as exc:
             status, failure_time, failure_reason = _failure(exc, t_end)
         else:
@@ -610,10 +617,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         "schema": "expstab-trajectory-v1",
         "wall_s": wall,
         "steps_per_s": step_count / wall,
-        "light_calls": loop.calls[0],
-        "full_calls": loop.calls[1],
-        "light_ops": loop.ops[0],
-        "full_ops": loop.ops[1],
+        "program_calls": loop.calls,
+        "program_ops": loop.ops,
     }
 
     return Trajectory(
@@ -733,8 +738,7 @@ def load_npz(path) -> Trajectory:
             meta={
                 k: meta[k]
                 for k in ("horizon_s", "step_s", "record_every", "lam", "schema",
-                          "wall_s", "steps_per_s", "light_calls", "full_calls",
-                          "light_ops", "full_ops")
+                          "wall_s", "steps_per_s", "program_calls", "program_ops")
                 if k in meta
             },
         )

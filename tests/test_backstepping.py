@@ -469,22 +469,6 @@ def test_short_run_energy_descent_and_sign_preservation(wr_short_t1):
     assert wr_short_t1.monitors["max_residual"] <= 1e-8
 
 
-def test_light_pass_matches_full_pass(wr_engine, syn_engine):
-    rng = np.random.default_rng(23)
-    for eng in (wr_engine, syn_engine):
-        for _ in range(10):
-            t = float(rng.uniform(0, 3))
-            x = tuple(rng.uniform(-1.5, 1.5, size=eng.n))
-            th = tuple(rng.uniform(-1, 1, size=eng.q))
-            full = eng.evaluate(t, x, th, diagnostics=True)
-            light = eng.evaluate(t, x, th, diagnostics=False)
-            assert light.kappa == full.kappa
-            assert light.z == full.z and light.s == full.s
-            assert light.theta_hat_dot == full.theta_hat_dot
-            assert light.psi_bar == full.psi_bar
-            assert light.W is None and light.resid_w is None
-
-
 def test_tuning_functions_accumulate_recorded_ingredients(syn_engine):
     rng = np.random.default_rng(24)
     for _ in range(10):

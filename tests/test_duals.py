@@ -132,7 +132,7 @@ def _record(f, *values):
 
     tape = Tape()
     leaves = [tape.input(v) for v in values]
-    return tape, tape.compile(f(*leaves))[0]
+    return tape, tape.compile(f(*leaves))
 
 
 def test_replay_matches_direct_evaluation_through_duals():
@@ -177,15 +177,20 @@ def test_replay_rejects_wrong_input_count():
 
 
 def test_unused_operations_are_dropped():
-    from expstab.duals import Tape
+    from expstab.duals import ReplayError, Tape
 
     tape = Tape()
-    x, y = tape.input(1.5), tape.input(-0.5)
+    x, a, y = tape.input(1.5), tape.input(2.0), tape.input(-0.5)
     keep = x * y
-    drop = x - y  # noqa: F841 (recorded, never an output)
-    light, full = tape.compile((keep,), (keep, x + y))
-    assert (light.n_ops, full.n_ops) == (1, 2)
-    assert light((2.0, 4.0)) == (8.0,) and full((2.0, 4.0)) == (8.0, 6.0)
+    drop = x - a  # noqa: F841 (recorded, never an output)
+    prog = tape.compile((keep, (keep + y, 3.0)))
+    assert len(tape) == 3 and prog.n_ops == 2
+    # a takes its place in the call although no output reads it
+    assert prog((2.0, 7.0, 4.0)) == (8.0, (12.0, 3.0))
+    assert prog((-1.0, None, 0.5)) == (-0.5, (0.0, 3.0))
+    for wrong in ((2.0, 4.0), (2.0, 7.0, 4.0, 1.0)):
+        with pytest.raises(ReplayError):
+            prog(wrong)
 
 
 def test_last_node_read_of_a_scalar_expression_records_scalar_ops():
@@ -199,7 +204,7 @@ def test_last_node_read_of_a_scalar_expression_records_scalar_ops():
     base = lift(last_node, ray)
     # sigma's last entry is 1.0 and 1.0 * v folds: z + x * c, no read
     assert len(tape) == recorded + 2
-    prog = tape.compile((base, ray))[0]
+    prog = tape.compile((base, ray))
     for pt in ((0.7, -1.3, 2.5), (-3.0, 0.125, 1e300), (0.0, -0.0, math.inf)):
         with np.errstate(invalid="ignore"):  # 0 * inf in the ray
             got_base, got_ray = prog(pt)
@@ -223,33 +228,6 @@ def test_last_node_read_keeps_array_leaves():
         base = lift(last_node, ray)
         assert len(tape) == recorded + 1 and tape._ops[-1][0] is last_node
         assert base.v == last_node(ray.v)
-
-
-def test_passes_share_code_and_take_their_own_inputs():
-    from expstab.duals import Pass, Tape
-
-    tape = Tape()
-    x, a = tape.input(2.0), tape.input(3.0)
-    base = x * x
-    extra = base + x  # the diagnostics of the plain pass
-    loop = base * a  # the plain pass extended by a second input
-    light, full, loop_light, loop_full = tape.compile(
-        Pass((base,), inputs=(x,)),
-        Pass((base, extra), extends=(0,), inputs=(x,)),
-        Pass((loop,), extends=(0,)),
-        Pass((loop, extra), extends=(1, 2)),
-    )
-    assert [p.n_ops for p in (light, full, loop_light, loop_full)] == [1, 2, 2, 3]
-    assert light((3.0,)) == (9.0,) and full((3.0,)) == (9.0, 12.0)
-    assert loop_light((3.0, 2.0)) == (18.0,) and loop_full((3.0, 2.0)) == (18.0, 12.0)
-    assert loop_light._chunks[0] is light._chunks[0]
-    # a pass needing an operation that a pass it does not extend generates
-    # runs that pass's code as well
-    first, second = tape.compile(Pass((extra,)), Pass((extra * a,)))
-    assert (first.n_ops, second.n_ops) == (2, 3)
-    assert second((3.0, 2.0)) == (24.0,)
-    with pytest.raises(ValueError, match="reads inputs it does not take"):
-        tape.compile(Pass((loop,), inputs=(x,)))
 
 
 # -- one register per value --------------------------------------------------
@@ -278,7 +256,7 @@ def test_constants_differing_in_sign_dtype_or_shape_stay_apart(a, b):
     x = tape.input(np.linspace(0.5, 1.5, len(a)))
     pa, pb = x * a, x * b
     assert len(tape) == 2 and tape._const(a) != tape._const(b)
-    prog = tape.compile((pa, pb))[0]
+    prog = tape.compile((pa, pb))
     v = np.linspace(-1.0, 1.0, len(a))
     got_a, got_b = prog((v,))
     for got, want in ((got_a, v * a), (got_b, v * b)):
@@ -295,7 +273,7 @@ def test_writing_to_a_recorded_constant_changes_no_replay():
     before = x * c
     c[:] = 7.0
     after = x * c  # a new value: a new register, not the old one
-    prog = tape.compile((before, after))[0]
+    prog = tape.compile((before, after))
     got_before, got_after = prog((np.array([1.0, 2.0]),))
     assert np.array_equal(got_before, [2.0, 6.0])
     assert np.array_equal(got_after, [7.0, 14.0])
@@ -315,7 +293,7 @@ def test_commuted_sums_and_products_are_recorded_once():
     assert len(tape) == recorded
     others = (b - a, a - b, b / a, a / b, b @ a, a @ b)
     assert len(tape) == recorded + len(others)
-    prog = tape.compile((product, total, scaled) + others)[0]
+    prog = tape.compile((product, total, scaled) + others)
     va, vb = np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([[3.0, 1.0], [-2.0, 4.0]])
     want = (va * vb, va + vb, column * va, vb - va, va - vb, vb / va, va / vb, vb @ va, va @ vb)
     for got, w in zip(prog((va, vb)), want):
@@ -330,7 +308,7 @@ def test_concatenation_is_not_commuted():
     head = tape.input((1.0,))
     front, back = head + tail, tail + head
     assert front is not back and len(tape) == 2
-    assert tape.compile((front, back))[0](((5.0,),)) == ((5.0, 2.0), (2.0, 5.0))
+    assert tape.compile((front, back))(((5.0,),)) == ((5.0, 2.0), (2.0, 5.0))
 
 
 @pytest.mark.parametrize("x,ones", [
@@ -364,7 +342,7 @@ def test_near_unit_arrays_are_recorded(x, ones):
     t = tape.input(x)
     outs = (t * ones, ones * t, t / ones, ones / t)
     assert len(tape) == 3  # the commuted product is the same operation
-    got = tape.compile(outs)[0]((x,))
+    got = tape.compile(outs)((x,))
     for g, w in zip(got, (x * ones, ones * x, x / ones, ones / x)):
         assert type(g) is type(w) and np.shape(g) == np.shape(w)
         assert np.array_equal(g, w)

@@ -16,7 +16,6 @@ from expstab import GainConfig, SystemModel
 from expstab import duals
 from expstab.backstepping import (
     _FULL_FIELDS,
-    _LIGHT,
     BacksteppingEngine,
     control_theorem1,
     control_theorem2,
@@ -102,13 +101,9 @@ def _check_against_recursion(engine, x, th, mu):
     # constant along a ray is then integrated by quadrature rather than
     # passed through, which moves the result by rounding only.
     tol = 1e-12 if 0.0 in th else 0.0
-    full = engine.evaluate(0.3, x, th, mu=mu, diagnostics=True)
-    _assert_close(_fields(full, _FULL_FIELDS), want, tol)
-    light = engine.evaluate(0.3, x, th, mu=mu, diagnostics=False)
-    light_names = tuple(_FULL_FIELDS[i] for i in _LIGHT)
-    _assert_close(_fields(light, light_names), tuple(want[i] for i in _LIGHT), tol)
-    for name in set(_FULL_FIELDS) - set(light_names):
-        assert getattr(light, name) is None
+    for diagnostics in (True, False):  # accepted, with no effect
+        ev = engine.evaluate(0.3, x, th, mu=mu, diagnostics=diagnostics)
+        _assert_close(_fields(ev, _FULL_FIELDS), want, tol)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -216,30 +211,27 @@ def test_fresh_tags_are_unique_across_threads():
     assert len(tags) == 20000 and len(set(tags)) == len(tags)
 
 
-# (light, full) operation counts of the fixture programs: the tape's zero
-# and unit folds, its value-keyed constants and its commuted sums and
-# products must keep them this small
-_ZERO_TESTED_OPS = {1: (26, 39), 2: (22, 39), 3: (829, 892), 4: (8573, 8690)}
+# operation counts of the fixture programs: the tape's zero and unit
+# folds, its value-keyed constants and its commuted sums and products must
+# keep them this small
+_ZERO_TESTED_OPS = {1: 39, 2: 39, 3: 892, 4: 8690}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_zero_folds_keep_programs_small(engines, n):
     engine = engines[n]
     engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2)[:n], (0.1, 0.2))
-    light, full = engine._programs
-    most_light, most_full = _ZERO_TESTED_OPS[n]
-    assert light.n_ops <= most_light and full.n_ops <= most_full
+    assert engine._program.n_ops <= _ZERO_TESTED_OPS[n]
 
 
 def test_order4_program_is_compiled_in_bounded_chunks(engines):
     engine = engines[4]
     ev = engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2), (0.1, 0.2))
     assert math.isfinite(ev.kappa) and ev.max_residual() <= 1e-8
-    light, full = engine._programs
-    assert full.n_ops > 5000
+    program = engine._program
+    assert program.n_ops > 5000
     # one generated function per bounded run of operations, never one huge one
-    assert len(full._chunks) >= full.n_ops / duals._CHUNK_OPS
-    assert light._chunks == full._chunks[: len(light._chunks)]
+    assert len(program._chunks) >= program.n_ops / duals._CHUNK_OPS
 
 
 # -- the closed-loop program ----------------------------------------------------
@@ -298,16 +290,9 @@ def test_closed_loop_program_equals_the_composition(loops, name, data):
     theta = tuple(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=q, max_size=q)))
     b = data.draw(st.floats(-3.0, -0.5))
     inputs = x + th + (aux, mu) + theta + (b,)
-    light, full = engine.closed_loop_programs(law, inputs)
+    program = engine.closed_loop_program(law, inputs)
     want_light, want_diag = _composed(plain, law, cfg, x, th, aux, mu, theta, b)
-    assert light(inputs) == want_light
-    assert full(inputs) == want_light + want_diag
-    # evaluate's programs, compiled from the closed loop's tape, agree too
-    for diagnostics, names in ((True, _FULL_FIELDS),
-                               (False, tuple(_FULL_FIELDS[i] for i in _LIGHT))):
-        got, want = (e.evaluate(0.0, x, th, mu=mu, diagnostics=diagnostics)
-                     for e in (engine, plain))
-        assert _fields(got, names) == _fields(want, names)
+    assert program(inputs) == want_light + want_diag
 
 
 def test_negative_xi_in_a_stage_raises_the_laws_error(loops):
@@ -316,13 +301,12 @@ def test_negative_xi_in_a_stage_raises_the_laws_error(loops):
     def inputs(xi):
         return (0.5, -0.2, 0.1, 0.1, xi, 1.2, -26.0, 0.67, -2.0)
 
-    light, full = engine.closed_loop_programs(law, inputs(0.5))
+    program = engine.closed_loop_program(law, inputs(0.5))
     message = re.escape("the Nussbaum argument must stay >= 0, got -0.25")
     with pytest.raises(ValueError, match=message):
         law(plain.evaluate(0.0, (0.5, -0.2), (0.1, 0.1), mu=1.2), -0.25, cfg)
-    for program in (light, full):
-        with pytest.raises(ValueError, match=message):
-            program(inputs(-0.25))
+    with pytest.raises(ValueError, match=message):
+        program(inputs(-0.25))
 
 
 def test_recording_frees_its_tape(monkeypatch):
@@ -342,7 +326,7 @@ def test_recording_frees_its_tape(monkeypatch):
     gc.disable()
     try:
         BacksteppingEngine(syn.model, syn.gains).evaluate(0.1, (0.3, -0.2, 0.4), (0.1, 0.0))
-        BacksteppingEngine(wr.model, wr.gains).closed_loop_programs(
+        BacksteppingEngine(wr.model, wr.gains).closed_loop_program(
             control_theorem2, (0.5, -0.2, 0.1, 0.1, 0.5, 1.2, -26.0, 0.67, -2.0))
         assert len(tapes) == 2
         assert [ref() for ref in tapes] == [None, None]
@@ -360,9 +344,28 @@ def test_order3_tape_holds_each_constant_once(monkeypatch):
 
     monkeypatch.setattr("expstab.backstepping.Tape", Kept)
     syn = build_synthetic("theorem1", seed=0)
-    BacksteppingEngine(syn.model, syn.gains).closed_loop_programs(
+    BacksteppingEngine(syn.model, syn.gains).closed_loop_program(
         control_theorem1, (0.3, -0.2, 0.4, 0.1, 0.0, -0.5, 1.2, 0.1, -0.1, -1.0))
     (tape,) = tapes
     arrays = [c for c in tape._consts.values() if type(c) is np.ndarray]
     assert len(arrays) > 10
     assert len({(c.dtype, c.shape, c.tobytes()) for c in arrays}) == len(arrays)
+
+
+@pytest.mark.parametrize("build", [lambda: build_wing_rock("theorem2", horizon=0.01),
+                                   lambda: build_synthetic("theorem1", seed=0, horizon=0.002)],
+                         ids=["wing-rock", "synthetic"])
+def test_a_run_compiles_one_program(monkeypatch, build):
+    from expstab.sim import simulate
+
+    compiled = []
+    orig = duals.Tape.compile
+
+    def counting(tape, outputs):
+        compiled.append(1)
+        return orig(tape, outputs)
+
+    monkeypatch.setattr(duals.Tape, "compile", counting)
+    traj = simulate(build())
+    assert traj.completed and traj.monitors["steps"] > 0
+    assert len(compiled) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expstab import SystemModel
+from expstab import SystemModel, scenarios, sim
 from expstab.scalar import ScalarGains
 from expstab.scenarios import build_scalar, build_wing_rock
 from expstab.sim import (
@@ -208,13 +208,12 @@ def test_npz_round_trip_bit_exact(tmp_path, short_run):
         assert np.array_equal(back.diag[k], short_run.diag[k])
     assert back.meta["schema"] == "expstab-trajectory-v1"
     assert back.meta == short_run.meta  # timing included
-    # one full replay per accepted state and the final one, three light per step
+    # one replay per stage and one on the final state
     steps = short_run.monitors["steps"]
-    assert back.meta["full_calls"] == short_run.meta["full_calls"] == steps + 1
-    assert back.meta["light_calls"] == short_run.meta["light_calls"] == 3 * steps
-    # the lengths of the two closed-loop programs the run replayed
-    assert back.meta["light_ops"] == short_run.meta["light_ops"] > 0
-    assert back.meta["full_ops"] == short_run.meta["full_ops"] > short_run.meta["light_ops"]
+    assert short_run.completed
+    assert back.meta["program_calls"] == short_run.meta["program_calls"] == 4 * steps + 1
+    # the length of the closed-loop program the run replayed
+    assert back.meta["program_ops"] == short_run.meta["program_ops"] > 0
 
 
 def test_run_timing_in_meta(short_run):
@@ -341,7 +340,7 @@ def test_replay_fault_propagates(monkeypatch):
         raise ReplayError("recording does not fit")
 
     monkeypatch.setattr(BacksteppingEngine, "_record",
-                        lambda self, inputs, law=None: (faulty, faulty))
+                        lambda self, inputs, law=None: faulty)
     with pytest.raises(ReplayError):
         simulate(build_wing_rock("theorem1", horizon=0.01))
 
@@ -353,3 +352,53 @@ def test_regressor_with_surplus_component_is_rejected():
     with pytest.raises(ValueError, match="phi_2 returns 3 components"):
         simulate(dataclasses.replace(scn, model=dataclasses.replace(scn.model,
                                                                     regressors=regs)))
+
+
+_SCALAR_DRAWS = {
+    "scalar-A": dict(a_nominal=0.5, x0=0.8),
+    "scalar-B": dict(a_nominal=0.5, a_deviation=0.3, x0=0.8),
+    "scalar-C": dict(a_nominal=0.5, a_deviation=0.3, x0=0.8, b_value=-1.0),
+}
+
+
+def test_scalar_loop_evaluates_the_signals_once_per_signal_time(monkeypatch):
+    times = []
+    square_sign = scenarios.square_sign
+
+    def counting(t, rate):
+        times.append(t)
+        return square_sign(t, rate)
+
+    monkeypatch.setattr(scenarios, "square_sign", counting)
+    scn = build_scalar("scalar-B", horizon=2.0, **_SCALAR_DRAWS["scalar-B"])
+    traj = simulate(scn)
+    steps = traj.monitors["steps"]
+    segments, _ = build_grid(2.0, scn.step, scn.model.breakpoints(2.0))
+    assert traj.completed and steps == 2001 and len(segments) == 2
+    # the first step of each segment queries three signal times, a later
+    # step two (its first stage shares the step before's last), and the
+    # final state one
+    assert len(times) == 2 * steps + len(segments) + 1
+
+
+@pytest.mark.parametrize("controller", sorted(_SCALAR_DRAWS))
+def test_scalar_runs_match_per_stage_signals(monkeypatch, controller):
+    def run():
+        return simulate(build_scalar(controller, horizon=2.0, **_SCALAR_DRAWS[controller]))
+
+    cached = run()
+
+    def per_stage(model):
+        def signals(tp):
+            theta = model.theta_signal(tp)
+            return tuple(float(theta[c]) for c in range(model.q)) + (float(model.b_signal(tp)),)
+        return signals
+
+    monkeypatch.setattr(sim, "_signal_reader", per_stage)
+    fresh = run()
+    assert cached.status == fresh.status == "completed"
+    for name in ("t", "x", "u", "theta_hat", "aux", "mu", "s"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+    assert cached.diag.keys() == fresh.diag.keys()
+    for k in cached.diag:
+        assert np.array_equal(cached.diag[k], fresh.diag[k], equal_nan=True), k
