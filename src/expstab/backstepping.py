@@ -66,6 +66,8 @@ from .duals import (
     Program,
     Tape,
     Traced,
+    _is_zero,
+    _unit_cache,
     fresh_tag,
     last_node,
     lift,
@@ -97,10 +99,6 @@ __all__ = [
 
 class FactorizationError(RuntimeError):
     """The mean-value factorization does not apply (g(0) != 0)."""
-
-
-def _is_zero(v) -> bool:
-    return type(v) is float and v == 0.0
 
 
 def _is_array(v) -> bool:
@@ -346,12 +344,6 @@ class BacksteppingEngine:
         self._weights = np.concatenate([wts, [0.0]])
         self._lam = float(cfg.lam)
         self._k = tuple(float(v) for v in cfg.k)
-        self._units = {
-            m: tuple(
-                tuple(1.0 if i == l else 0.0 for i in range(m)) for l in range(m)
-            )
-            for m in range(1, model.n + 1)
-        }
         self._sigma_shapes = {0: self._sigma}
         self._program = None  # evaluate's, recorded on first use
         self._loop = None  # (law, program) of the closed loop under law
@@ -520,7 +512,7 @@ class BacksteppingEngine:
             v0 = v0.val
         sig = self._sigma if type(v0) is float else self._sigma_by_ndim(v0.ndim)
         tag = fresh_tag()
-        units = self._units[m]
+        units = _unit_cache(m)
         # each scaled point sigma*zbar is an independent variable, so the
         # downstream sensitivities are the Jacobian evaluated on the ray
         seeded = [Dual(tag, sig * zbar[l], units[l]) for l in range(m)]
@@ -826,9 +818,9 @@ def factorize_line_integral(
     sig = np.concatenate([sig_nodes, [1.0]])
     wts = np.concatenate([weights, [0.0]])
     tag = fresh_tag()
+    units = _unit_cache(i)
     seeded = [
-        Dual(tag, sig * zb[l], tuple(1.0 if idx == l else 0.0 for idx in range(i)))
-        for l in range(i)
+        Dual(tag, sig * zb[l], units[l]) for l in range(i)
     ]
     out = g(*seeded)
 

@@ -28,6 +28,7 @@ names work with ``--set name=value`` on the command line, e.g.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -326,13 +327,15 @@ def cmd_compare(args) -> int:
     table = compare_runs(trajectories, threshold=args.threshold, rate=args.rate)
     text = str(table) + "\n"
     (out_dir / "comparison.txt").write_text(text)
-    with open(out_dir / "comparison.csv", "w") as fh:
-        fh.write("name,controller,settling_time_s,peak_x1,peak_u,envelope_amplitude\n")
-        for r in sorted(table.rows, key=lambda r: r.name):
-            fh.write(
-                f"{r.name},{r.controller},{r.settling_time!r},{r.peak_x1!r},"
-                f"{r.peak_u!r},{r.envelope_amplitude!r}\n"
-            )
+    with open(out_dir / "comparison.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)  # writes a float as its repr, as export_csv does
+        writer.writerow(["name", "controller", "settling_time_s", "peak_x1", "peak_u",
+                         "envelope_amplitude"])
+        writer.writerows(
+            [r.name, r.controller, r.settling_time, r.peak_x1, r.peak_u,
+             r.envelope_amplitude]
+            for r in sorted(table.rows, key=lambda r: r.name)
+        )
     if not args.quiet:
         print(text, end="")
     return EXIT_OK

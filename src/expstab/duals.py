@@ -8,8 +8,10 @@ dispatches on the highest tag present, treating lower-tagged operands as
 constants.  This gives exact higher-order mixed partials without symbolic
 work and without finite differences.
 
-Performance notes (this module sits on the hot path of every simulation
-step):
+Performance notes (the dual algebra runs while a :class:`Tape` records a
+program and in the un-recorded reference paths, ``virtual_law``,
+``virtual_law_gradient`` and ``factorize_line_integral``; a simulation
+step replays recorded programs and builds no duals):
 
 * payloads may be plain floats or numpy arrays, which lets a caller batch
   many evaluation points (e.g. quadrature nodes) through one pass;
@@ -60,7 +62,6 @@ __all__ = [
     "value_of",
     "partials_of",
     "value_and_gradient",
-    "value_and_jacobian",
     "sin",
     "cos",
     "exp",
@@ -91,7 +92,7 @@ def _is_zero(v) -> bool:
 
 
 # exact-zero checks are inlined in the comprehensions below: these helpers
-# run hundreds of thousands of times per simulated second
+# run on every dual operation of a recording
 
 def _eps_add(a: tuple, b: tuple) -> tuple:
     return tuple(
@@ -305,20 +306,6 @@ def value_and_gradient(f, args):
     tag, seeded = seed(tuple(args))
     y = f(*seeded)
     return strip_tag(y, tag), partials_of(y, tag, len(seeded))
-
-
-def value_and_jacobian(f, args):
-    """Like :func:`value_and_gradient` for an ``f`` returning a sequence.
-
-    Returns ``(values, rows)`` where ``rows[c]`` holds the partials of
-    output component ``c``.
-    """
-    tag, seeded = seed(tuple(args))
-    out = f(*seeded)
-    k = len(seeded)
-    vals = tuple(strip_tag(y, tag) for y in out)
-    rows = tuple(partials_of(y, tag, k) for y in out)
-    return vals, rows
 
 
 # -- elementary functions --------------------------------------------------

@@ -73,28 +73,6 @@ def square_sign(t: float, rate: float) -> float:
     return 1.0 if k % 2 == 0 else -1.0
 
 
-def _shared_square_sign(rate: float):
-    """``t -> square_sign(t, rate)``, computing each time's epoch once.
-
-    A model's theta and b signals query one time in turn and share one of
-    these.  It keeps its last value as one ``(t, sign)`` tuple, replaced
-    whole, so concurrent callers read a matching pair and the signals stay
-    pure functions of ``t``.
-    """
-    last = (None, None)
-
-    def sign(t: float) -> float:
-        nonlocal last
-        seen = last
-        if seen[0] == t:
-            return seen[1]
-        value = square_sign(t, rate)
-        last = (t, value)
-        return value
-
-    return sign
-
-
 def _square_breakpoints(rate: float):
     period = math.pi / rate
 
@@ -124,14 +102,12 @@ def wing_rock_model() -> SystemModel:
     b_nom = WING_ROCK_TABLE["b_nominal"]
     b_amp = WING_ROCK_TABLE["b_wobble_amplitude"]
 
-    sign = _shared_square_sign(rate)
-
     def theta_signal(t: float):
-        w = 1.0 + frac * sign(t)
+        w = 1.0 + frac * square_sign(t, rate)
         return (th_nom[0] * w, th_nom[1] * w)
 
     def b_signal(t: float) -> float:
-        return b_nom + b_amp * sign(t) * math.cos(t)
+        return b_nom + b_amp * square_sign(t, rate) * math.cos(t)
 
     return SystemModel(
         n=2,
@@ -259,13 +235,11 @@ def build_synthetic(
     delta_theta = 1.05 * dev
     rate = 2.0
 
-    sign = _shared_square_sign(rate)
-
     def theta_signal(t: float) -> np.ndarray:
-        return th_nom + dev * sign(t) * direction
+        return th_nom + dev * square_sign(t, rate) * direction
 
     def b_signal(t: float) -> float:
-        return -(1.0 + 0.25 * sign(t) * math.sin(t))
+        return -(1.0 + 0.25 * square_sign(t, rate) * math.sin(t))
 
     model = SystemModel(
         n=3,

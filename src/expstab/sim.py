@@ -9,17 +9,18 @@ before the segment end, so each step sees one smooth branch; the nudge
 is far below integration accuracy.
 
 The controller is evaluated inside every stage (continuous-time law, no
-sample-and-hold).  For the backstepping controllers a stage is one
-replay of a recorded closed-loop program: the engine records its
-cascade, the input law, the estimator rates and the plant's right-hand
-side together once per run, with the parameter signals ``theta(tp)`` and
-``b(tp)`` as inputs, so a stage maps ``y + (mu,) + theta(tp) + (b(tp),)``
-to the state rates, the input and the diagnostics.  For every controller
-the signals are evaluated once per distinct signal time: both midpoint
-stages of a step share it, and a step's first stage shares the previous
-step's last, so a step evaluates them about twice instead of four times.
-The first stage of each step sits exactly on the accepted state, and its
-outputs feed the per-step monitors:
+sample-and-hold).  Every controller supplies the same stage, which maps
+``(t, y, tp)`` to ``(dy, u, s, kappa, resid_w, resid_psi)``, so one loop
+integrates, records and monitors them all.  For the backstepping
+controllers a stage is one replay of a recorded closed-loop program: the
+engine records its cascade, the input law, the estimator rates and the
+plant's right-hand side together once per run, with the parameter
+signals ``theta(tp)`` and ``b(tp)`` as inputs.  The signals are
+evaluated once per distinct signal time: both midpoint stages of a step
+share it, and a step's first stage shares the previous step's last, so a
+step evaluates them about twice instead of four times.  The first stage
+of each step sits exactly on the accepted state, and its outputs feed
+the per-step monitors:
 
 * non-finite or exploding states mark the run diverged;
 * a Nussbaum argument leaving its safe range marks it overflowed;
@@ -161,6 +162,8 @@ class Scenario:
                 raise ScenarioError("scalar controllers need ScalarGains")
             if self.model.n != 1:
                 raise ScenarioError("scalar controllers require a first-order plant")
+            if self.model.q != 1:
+                raise ScenarioError("scalar controllers require one parameter (q = 1)")
             if not math.isfinite(self.a_hat0):
                 raise ScenarioError(f"a_hat0 must be finite, got {self.a_hat0}")
             if self.controller == "scalar-C":
@@ -309,43 +312,6 @@ def _signal_reader(model: SystemModel):
     return signals
 
 
-class _EngineLoop:
-    """RHS assembly for the full backstepping controllers.
-
-    A stage is one replay of the engine's closed-loop program, recorded
-    on the first stage: it maps ``y + (mu,) + (theta(tp), b(tp))`` to
-    ``(dy, u, s, kappa, resid_w, resid_psi)``.
-    """
-
-    def __init__(self, scn: Scenario):
-        cfg = scn.gains
-        self.engine = BacksteppingEngine(scn.model, cfg)
-        # looked up per run, so the module attributes stay patchable
-        self.law = control_theorem2 if scn.controller == "theorem2" else control_theorem1
-        self.lam = cfg.lam if cfg.scaled else 0.0
-        self.aux_name = "xi" if scn.controller == "theorem2" else "rho_hat"
-        th0 = tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
-        aux0 = scn.xi0 if scn.controller == "theorem2" else scn.rho_hat0
-        self.y0 = tuple(float(v) for v in scn.x0) + th0 + (float(aux0),)
-        self.calls = 0  # program replays
-        self._signals = _signal_reader(scn.model)
-        self._program = None
-
-    def rhs(self, t, y, tp):
-        lam = self.lam
-        inputs = y + (math.exp(lam * t) if lam != 0.0 else 1.0,) + self._signals(tp)
-        self.calls += 1
-        program = self._program
-        if program is None:
-            program = self._program = self.engine.closed_loop_program(self.law, inputs)
-        return program(inputs)
-
-    @property
-    def ops(self) -> int:
-        """``n_ops`` of the closed-loop program, zero before recording."""
-        return 0 if self._program is None else self._program.n_ops
-
-
 _SCALAR_RATES = {
     "scalar-A": scalar_A_rates,
     "scalar-B": scalar_B_rates,
@@ -353,56 +319,89 @@ _SCALAR_RATES = {
 }
 
 
-class _ScalarLoop:
-    """RHS assembly for the first-order didactic controllers.
+def _stage(scn: Scenario) -> tuple:
+    """The run's RK4 stage and what the loop needs to know about it.
 
-    Everything the right-hand side needs is bound once per run, and the
-    stages run on plain floats through the design's rates function.
+    Returns ``(f, y0, aux_name, resid_tol, replays)``.  Every controller's
+    stage ``f(t, y, tp)`` returns ``(dy, u, s, kappa, resid_w, resid_psi)``;
+    the estimate is ``y[n:n+q]`` and the aux state, if any, is ``y[-1]``.
+    ``resid_tol`` is None when the stage reports no factorization
+    residuals, and ``replays()`` gives ``(program_calls, program_ops)``.
+
+    A backstepping stage is one replay of the engine's closed-loop
+    program, recorded on the first stage: it maps
+    ``y + (mu,) + theta(tp) + (b(tp),)`` to the stage tuple.  A scalar
+    stage runs on plain floats through the design's rates function and
+    returns ``s = (mu*x,)``, ``kappa = nan``, no residuals and
+    ``resid_psi = 0.0``; its kernels replay no program.
     """
+    signals = _signal_reader(scn.model)
+    gains = scn.gains
+    lam = gains.lam
+    exp = math.exp
 
-    def __init__(self, scn: Scenario):
-        gains = scn.gains
-        lam = gains.lam
-        self.lam = lam
-        self.aux_name = "xi" if scn.controller == "scalar-C" else None
-        y0 = (float(scn.x0[0]), float(scn.a_hat0))
-        if scn.controller == "scalar-C":
-            y0 += (float(scn.xi0),)
-        self.y0 = y0
+    if scn.controller in ENGINE_CONTROLLERS:
+        engine = BacksteppingEngine(scn.model, gains)
+        # looked up per run, so the module attributes stay patchable
+        law = control_theorem2 if scn.controller == "theorem2" else control_theorem1
+        aux_name = "xi" if scn.controller == "theorem2" else "rho_hat"
+        th0 = tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
+        aux0 = scn.xi0 if scn.controller == "theorem2" else scn.rho_hat0
+        y0 = tuple(float(v) for v in scn.x0) + th0 + (float(aux0),)
+        program = None
+        calls = 0
 
-        rates = _SCALAR_RATES[scn.controller]
-        signals = _signal_reader(scn.model)
-        regressor = scn.model.regressors[0]
-        components = range(scn.model.q)
-        exp = math.exp
+        def stage(t, y, tp):
+            nonlocal program, calls
+            inputs = y + (exp(lam * t) if lam != 0.0 else 1.0,) + signals(tp)
+            calls += 1
+            if program is None:
+                program = engine.closed_loop_program(law, inputs)
+            return program(inputs)
 
-        def plant(x, u, tp):
-            sig = signals(tp)
-            acc = sig[-1] * u
-            phi = regressor(x)
-            for c in components:
-                pc = phi[c]
-                if type(pc) is float and pc == 0.0:
-                    continue
-                acc += pc * sig[c]
-            return acc
+        def replays():
+            return calls, 0 if program is None else program.n_ops
 
-        if scn.controller == "scalar-C":
-            def rhs(t, y, tp):
-                x, a_hat, xi = y
-                mu = exp(lam * t)
-                u, a_dot, xi_dot = rates(x, a_hat, mu, mu * x, xi, gains)
-                return (plant(x, u, tp), a_dot, xi_dot), u
-        else:
-            def rhs(t, y, tp):
-                x, a_hat = y
-                mu = exp(lam * t)
-                u, a_dot = rates(x, a_hat, mu, mu * x, gains)
-                return (plant(x, u, tp), a_dot), u
+        return stage, y0, aux_name, gains.resid_tol, replays
 
-        self.rhs = rhs
-        self.calls = 0  # the kernels replay no program
-        self.ops = 0
+    rates = _SCALAR_RATES[scn.controller]
+    regressor = scn.model.regressors[0]
+    components = range(scn.model.q)
+    nan = math.nan
+
+    # kept apart from model.plant_rates, which builds a list and zips per
+    # stage for any order: routing the scalar stages through it cost about
+    # 10% of scalar-suite steps/s on a 2-core x86-64 machine
+    def plant(x, u, tp):
+        sig = signals(tp)
+        acc = sig[-1] * u
+        phi = regressor(x)
+        for c in components:
+            pc = phi[c]
+            if type(pc) is float and pc == 0.0:
+                continue
+            acc += pc * sig[c]
+        return acc
+
+    y0 = (float(scn.x0[0]), float(scn.a_hat0))
+    if scn.controller == "scalar-C":
+        def stage(t, y, tp):
+            x, a_hat, xi = y
+            mu = exp(lam * t)
+            s = mu * x
+            u, a_dot, xi_dot = rates(x, a_hat, mu, s, xi, gains)
+            return (plant(x, u, tp), a_dot, xi_dot), u, (s,), nan, (), 0.0
+
+        return stage, y0 + (float(scn.xi0),), "xi", None, lambda: (0, 0)
+
+    def stage(t, y, tp):
+        x, a_hat = y
+        mu = exp(lam * t)
+        s = mu * x
+        u, a_dot = rates(x, a_hat, mu, s, gains)
+        return (plant(x, u, tp), a_dot), u, (s,), nan, (), 0.0
+
+    return stage, y0, None, None, lambda: (0, 0)
 
 
 def _energy_fn(scn: Scenario):
@@ -462,19 +461,10 @@ def simulate(scenario: Scenario) -> Trajectory:
         scenario.horizon, scenario.step, model.breakpoints(scenario.horizon)
     )
 
-    # an engine stage returns (dy, u, s, kappa, resid_w, resid_psi), a
-    # scalar one (dy, u)
-    engine = scenario.controller in ENGINE_CONTROLLERS
-    if engine:
-        loop = _EngineLoop(scenario)
-        resid_tol = scenario.gains.resid_tol
-        q = model.q
-    else:
-        loop = _ScalarLoop(scenario)
-        resid_tol = None
-        q = 1  # scalar estimate recorded in the theta_hat block
-    rhs = loop.rhs
+    stage, y, aux_name, resid_tol, replays = _stage(scenario)
     n = model.n
+    q = model.q
+    lam = scenario.gains.lam
     energy = _energy_fn(scenario)
 
     every = scenario.record_every
@@ -483,7 +473,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     x_rec = np.empty((n_rec, n))
     u_rec = np.empty(n_rec)
     th_rec = np.empty((n_rec, q))
-    has_aux = loop.aux_name is not None
+    has_aux = aux_name is not None
+    track_xi = aux_name == "xi"
     aux_rec = np.empty((n_rec, 1 if has_aux else 0))
     mu_rec = np.empty(n_rec)
     s_rec = np.empty((n_rec, n))
@@ -501,8 +492,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     xi_min_increment = math.inf
     xi_prev = None
 
-    y = loop.y0
-    lam = loop.lam
     idx = 0
     step_count = 0
 
@@ -511,24 +500,17 @@ def simulate(scenario: Scenario) -> Trajectory:
         t_rec[idx] = t
         x_rec[idx] = y[:n]
         u_rec[idx] = out[1]
+        th_rec[idx] = y[n : n + q]
         if has_aux:
             aux_rec[idx, 0] = y[-1]
-        mu = math.exp(lam * t)
-        mu_rec[idx] = mu
-        if engine:
-            th_rec[idx] = y[n : n + q]
-            _, _, s_vec, kappa, resid_w, resid_psi = out
-            diag_rec["kappa"][idx] = kappa
-            if resid_tol is not None:
-                diag_rec["resid_w"][idx] = max(resid_w)
-                diag_rec["resid_psi"][idx] = resid_psi
-        else:
-            th_rec[idx] = (y[1],)
-            s_vec = (mu * y[0],)
-            diag_rec["kappa"][idx] = math.nan
-        s_rec[idx] = s_vec
+        mu_rec[idx] = math.exp(lam * t)
+        s_rec[idx] = out[2]
+        diag_rec["kappa"][idx] = out[3]
+        if resid_tol is not None:
+            diag_rec["resid_w"][idx] = max(out[4])
+            diag_rec["resid_psi"][idx] = out[5]
         if energy is not None:
-            diag_rec["V"][idx] = energy(s_vec, y[n : n + q], y[-1])
+            diag_rec["V"][idx] = energy(out[2], y[n : n + q], y[-1])
         idx += 1
 
     try:
@@ -544,7 +526,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 # staying far below the integration error
                 tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
 
-                out = rhs(t0, y, t0)
+                out = stage(t0, y, t0)
 
                 if resid_tol is not None:
                     r = max(max(out[4]), out[5])
@@ -560,7 +542,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 if step_count % every == 0:
                     record(t0, y, out)
 
-                y = rk4_step(rhs, t0, t1, y, out[0], tp1)
+                y = rk4_step(stage, t0, t1, y, out[0], tp1)
                 step_count += 1
 
                 ok = True
@@ -574,7 +556,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                     failure_reason = "state not finite or beyond 1e12 in magnitude"
                     raise _Abort
 
-                if has_aux and loop.aux_name == "xi":
+                if track_xi:
                     xi_new = y[-1]
                     if xi_prev is not None:
                         inc = xi_new - xi_prev
@@ -591,7 +573,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         # final accepted state
         t_end = float(segments[-1][-1])
         try:
-            out = rhs(t_end, y, t_end - 1e-12)
+            out = stage(t_end, y, t_end - 1e-12)
         except _NUMERICAL as exc:
             status, failure_time, failure_reason = _failure(exc, t_end)
         else:
@@ -602,13 +584,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     monitors = {
         "max_residual": max_resid if resid_tol is not None else None,
         "residual_tol": resid_tol,
-        "xi_min_increment": (
-            xi_min_increment if (has_aux and loop.aux_name == "xi") else None
-        ),
+        "xi_min_increment": xi_min_increment if track_xi else None,
         "steps": step_count,
         "failure_reason": failure_reason,
     }
     wall = time.perf_counter() - started
+    program_calls, program_ops = replays()
     meta = {
         "horizon_s": scenario.horizon,
         "step_s": scenario.step,
@@ -617,8 +598,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         "schema": "expstab-trajectory-v1",
         "wall_s": wall,
         "steps_per_s": step_count / wall,
-        "program_calls": loop.calls,
-        "program_ops": loop.ops,
+        "program_calls": program_calls,
+        "program_ops": program_ops,
     }
 
     return Trajectory(
@@ -631,7 +612,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         u=u_rec[:idx],
         theta_hat=th_rec[:idx],
         aux=aux_rec[:idx],
-        aux_name=loop.aux_name,
+        aux_name=aux_name,
         mu=mu_rec[:idx],
         s=s_rec[:idx],
         diag={k: v[:idx] for k, v in diag_rec.items()},

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from expstab import cli
 from expstab.cli import EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main, parse_config_file
 from expstab.sim import load_csv
 
@@ -120,6 +123,31 @@ def test_compare_emits_table(tmp_path):
     assert table[0].startswith("name,controller,")
     assert len(table) == 3
     assert (out / "wing-rock-theorem1" / "trajectory.csv").exists()
+
+
+def test_comparison_csv_holds_each_float_of_the_table(tmp_path, monkeypatch):
+    tables = []
+    compare_runs = cli.compare_runs
+
+    def keep(*args, **kwargs):
+        tables.append(compare_runs(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "compare_runs", keep)
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--scenario", "scalar-A", "--scenario", "scalar-B",
+               "--horizon", "0.3", "--out", str(out), "--quiet"])
+    assert rc == EXIT_OK
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    want = sorted(tables[0].rows, key=lambda r: r.name)
+    assert [(r["name"], r["controller"]) for r in rows] == [(w.name, w.controller)
+                                                            for w in want]
+    for row, w in zip(rows, want):
+        got = [float(row[k]) for k in ("settling_time_s", "peak_x1", "peak_u",
+                                       "envelope_amplitude")]
+        assert got == [w.settling_time, w.peak_x1, w.peak_u, w.envelope_amplitude]
+    assert any(w.settling_time == float("inf") for w in want)  # unsettled at 0.3 s
 
 
 def test_compare_needs_two(tmp_path):

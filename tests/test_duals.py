@@ -10,7 +10,6 @@ from expstab.duals import (
     seed,
     sin,
     value_and_gradient,
-    value_and_jacobian,
     value_of,
 )
 
@@ -90,17 +89,6 @@ def test_array_payload_batching():
     y = seeded[0] ** 2
     assert np.allclose(value_of(y), [1.0, 4.0, 9.0])
     assert np.allclose(y.eps[0], [2.0, 4.0, 6.0])
-
-
-def test_jacobian_of_vector_function():
-    def g(x, y):
-        return (x * y, x + y, y**2)
-
-    vals, rows = value_and_jacobian(g, (2.0, 5.0))
-    assert vals == (10.0, 7.0, 25.0)
-    assert rows[0] == (5.0, 2.0)
-    assert rows[1] == (1.0, 1.0)
-    assert rows[2] == (0.0, 10.0)
 
 
 def test_numpy_does_not_consume_duals():

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from expstab.scenarios import (
     square_sign,
     wing_rock_model,
 )
-from expstab.sim import simulate
 
 
 def test_benchmark_constants_match_table():
@@ -136,7 +134,7 @@ def test_registry_builds_every_name():
 
 
 def _wing_rock_signals_per_call():
-    """The wing-rock signals with each one evaluating its own epoch."""
+    """The wing-rock signals written out from the table, as reference values."""
     tbl = WING_ROCK_TABLE
     th_nom, frac, rate = tbl["theta_nominal"], tbl["theta_wobble_fraction"], tbl["wobble_rate"]
 
@@ -148,30 +146,6 @@ def _wing_rock_signals_per_call():
         return tbl["b_nominal"] + tbl["b_wobble_amplitude"] * scenarios.square_sign(t, rate) * math.cos(t)
 
     return theta_signal, b_signal
-
-
-def test_wing_rock_signals_share_each_epoch(monkeypatch):
-    calls = [0]
-
-    def counted(t, rate):
-        calls[0] += 1
-        return square_sign(t, rate)
-
-    monkeypatch.setattr(scenarios, "square_sign", counted)
-    scn = build_wing_rock("theorem2", horizon=1.2)  # across the jump at pi/3
-    calls[0] = 0
-    shared = simulate(scn)
-    shared_calls, calls[0] = calls[0], 0
-    theta_signal, b_signal = _wing_rock_signals_per_call()
-    each = simulate(replace(scn, model=replace(scn.model, theta_signal=theta_signal,
-                                               b_signal=b_signal)))
-    assert shared_calls > 0 and 2 * shared_calls == calls[0]
-    assert shared.status == each.status == "completed"
-    assert shared.monitors == each.monitors
-    for name in ("t", "x", "u", "theta_hat", "aux", "s"):
-        assert np.array_equal(getattr(shared, name), getattr(each, name)), name
-    for k in each.diag:
-        assert np.array_equal(shared.diag[k], each.diag[k]), k
 
 
 def test_shared_epoch_signals_stay_pure_across_threads():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from expstab import SystemModel, scenarios, sim
 from expstab.scalar import ScalarGains
-from expstab.scenarios import build_scalar, build_wing_rock
+from expstab.scenarios import build_named, build_scalar, build_wing_rock, scenario_names
 from expstab.sim import (
     Scenario,
     ScenarioError,
@@ -142,6 +142,12 @@ def test_scenario_validation_errors():
     t2 = build_wing_rock("theorem2", horizon=1.0)
     with pytest.raises(ScenarioError):
         dataclasses.replace(t2, xi0=-0.5).validate()
+    # the scalar laws estimate one parameter, recorded as theta_hat's only column
+    scalar_a = build_scalar("scalar-A", a_nominal=1.0, x0=0.8, horizon=1.0)
+    two = dataclasses.replace(scalar_a.model, q=2, theta_signal=lambda t: (1.0, 0.0),
+                              regressors=[lambda x1: (x1 * x1, x1)])
+    with pytest.raises(ScenarioError, match="q = 1"):
+        dataclasses.replace(scalar_a, model=two).validate()
     # non-finite configuration is rejected before a run starts
     scalar_c = build_scalar("scalar-C", a_nominal=1.0, x0=0.8, a_deviation=0.3,
                             b_value=-1.5, horizon=1.0)
@@ -402,3 +408,21 @@ def test_scalar_runs_match_per_stage_signals(monkeypatch, controller):
     assert cached.diag.keys() == fresh.diag.keys()
     for k in cached.diag:
         assert np.array_equal(cached.diag[k], fresh.diag[k], equal_nan=True), k
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_controller_records_through_one_stage(name):
+    scn = dataclasses.replace(build_named(name), horizon=0.02)
+    traj = simulate(scn)
+    engine = scn.controller in sim.ENGINE_CONTROLLERS
+    steps = traj.monitors["steps"]
+    rows = len(traj.t)
+    assert traj.completed and steps > 0 and rows == steps + 1
+    assert traj.theta_hat.shape == (rows, scn.model.q)
+    assert traj.s.shape == (rows, scn.model.n)
+    assert np.isnan(traj.diag["kappa"]).tolist() == [not engine] * rows
+    resid = {"resid_w", "resid_psi"}
+    assert resid & traj.diag.keys() == (resid if engine else set())
+    assert traj.meta["program_calls"] == (4 * steps + 1 if engine else 0)
+    if not engine:
+        assert np.array_equal(traj.s[:, 0], traj.mu * traj.x[:, 0])
