@@ -63,7 +63,6 @@ import numpy as np
 
 from .duals import (
     Dual,
-    Program,
     Tape,
     Traced,
     _is_zero,
@@ -345,8 +344,9 @@ class BacksteppingEngine:
         self._lam = float(cfg.lam)
         self._k = tuple(float(v) for v in cfg.k)
         self._sigma_shapes = {0: self._sigma}
-        self._program = None  # evaluate's, recorded on first use
-        self._loop = None  # (law, program) of the closed loop under law
+        # law -> its closed loop's program, None -> evaluate's; recorded
+        # on first use
+        self._programs = {}
         self._record_lock = threading.Lock()
 
     def _sigma_by_ndim(self, ndim: int) -> np.ndarray:
@@ -630,7 +630,7 @@ class BacksteppingEngine:
         dy = plant_rates(ev.phi, x, theta, b, u) + th_dot + (aux_dot,)
         return dy, u, ev.s, ev.kappa, ev.resid_w, ev.resid_psi
 
-    def _record(self, inputs: tuple, law=None) -> Program:
+    def _record(self, inputs: tuple, law=None):
         """Record the cascade once at ``inputs`` and compile its program.
 
         Without ``law``, ``inputs`` is ``x + theta_hat + (mu,)`` and the
@@ -642,23 +642,21 @@ class BacksteppingEngine:
         loop's program.
         """
         with self._record_lock:
-            if law is None:
-                if self._program is not None:
-                    return self._program
-            elif self._loop is not None and self._loop[0] is law:
-                return self._loop[1]
+            program = self._programs.get(law)
+            if program is not None:
+                return program
             n, q = self.n, self.q
             tape = Tape()
             leaves = tuple([tape.input(v) for v in inputs])
             x, th = leaves[:n], leaves[n:n + q]
             if law is None:
-                self._program = tape.compile(self._cascade(x, th, leaves[n + q]))
-                return self._program
-            mu = leaves[n + q + 1]
-            program = tape.compile(self._closed_loop(
-                law, self._cascade(x, th, mu), x, th, leaves[n + q], mu,
-                leaves[n + q + 2:-1], leaves[-1]))
-            self._loop = (law, program)
+                outputs = self._cascade(x, th, leaves[n + q])
+            else:
+                mu = leaves[n + q + 1]
+                outputs = self._closed_loop(
+                    law, self._cascade(x, th, mu), x, th, leaves[n + q], mu,
+                    leaves[n + q + 2:-1], leaves[-1])
+            program = self._programs[law] = tape.compile(outputs)
             return program
 
     # -- public entry points -----------------------------------------------
@@ -679,7 +677,7 @@ class BacksteppingEngine:
             mu = math.exp(self._lam * t) if self.cfg.scaled else 1.0
         mu = float(mu)
         inputs = x + th + (mu,)
-        program = self._program or self._record(inputs)
+        program = self._programs.get(None) or self._record(inputs)
         (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
          psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = program(inputs)
         return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha,
@@ -687,7 +685,7 @@ class BacksteppingEngine:
                           zeta, psi, psi_bar, kappa, resid_w, resid_psi,
                           theta_hat_dot)
 
-    def closed_loop_program(self, law, inputs: tuple) -> Program:
+    def closed_loop_program(self, law, inputs: tuple):
         """The closed loop's program under ``law``.
 
         ``law`` is :func:`control_theorem1` or :func:`control_theorem2`

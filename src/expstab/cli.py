@@ -136,16 +136,14 @@ def apply_override(scenario, key: str, value):
             return dataclasses.replace(scenario, step=float(value))
         if key == "record_every":
             return dataclasses.replace(scenario, record_every=int(value))
-        if key.startswith("x0_"):
-            i = int(key[3:]) - 1
-            x0 = np.array(scenario.x0, dtype=float)
-            x0[i] = float(value)
-            return dataclasses.replace(scenario, x0=x0)
-        if key.startswith("theta_hat0_"):
-            i = int(key[len("theta_hat0_"):]) - 1
-            th = np.array(scenario.theta_hat0, dtype=float)
-            th[i] = float(value)
-            return dataclasses.replace(scenario, theta_hat0=th)
+        for prefix, field in (("x0_", "x0"), ("theta_hat0_", "theta_hat0")):
+            if key.startswith(prefix):
+                i = int(key[len(prefix):]) - 1
+                if i < 0:  # a negative index would silently write from the end
+                    raise ConfigError(f"component index out of range in {key!r}")
+                vec = np.array(getattr(scenario, field), dtype=float)
+                vec[i] = float(value)
+                return dataclasses.replace(scenario, **{field: vec})
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"bad override {key}={value!r}: {exc}") from exc
     raise ConfigError(f"unknown override key {key!r}")

@@ -28,10 +28,11 @@ float or ndarray payload and writes every arithmetic operation applied to
 it onto a tape.  Pushing traced leaves through the dual algebra once turns
 an arbitrarily nested derivative computation into a flat list of float and
 array operations, which :meth:`Tape.compile` turns into a replayable
-:class:`Program`.  Each value is recorded once: constants are keyed by
-value (an ndarray by dtype, shape and bytes), so equal arrays built apart
-share a register, and the operands of ``+`` and ``*`` are keyed in
-either order, so ``b * a`` after ``a * b`` records nothing.
+program, a plain generated function with an ``n_ops`` attribute.  Each
+value is recorded once: constants are keyed by value (an ndarray by
+dtype, shape and bytes), so equal arrays built apart share a register,
+and the operands of ``+`` and ``*`` are keyed in either order, so
+``b * a`` after ``a * b`` records nothing.
 :meth:`Tape.call` folds literal zeros by the same rules as the dual
 algebra, so whether a zero reaches the tape as a dual or as a float
 operand, the operation it makes absent is not recorded; products with
@@ -69,7 +70,6 @@ __all__ = [
     "sqrt",
     "Tape",
     "Traced",
-    "Program",
     "lift",
     "to_float",
     "last_node",
@@ -720,15 +720,18 @@ class Tape:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def compile(self, outputs) -> "Program":
-        """The :class:`Program` from the tape's inputs to ``outputs``.
+    def compile(self, outputs):
+        """The program from the tape's inputs to ``outputs``.
 
         ``outputs`` is a nested tuple of traced values and constants; the
-        program takes every input of the tape, in recording order, and
-        returns ``outputs`` with the same nesting.  Only operations some
-        output depends on are kept, and a register is reused as soon as
-        its last reader has run, so a replay holds no more intermediate
-        arrays at once than the live set requires.
+        program is a generated function that takes a sequence of every
+        input of the tape, in recording order, and returns ``outputs``
+        with the same nesting.  Its ``n_ops`` attribute is the number of
+        operations it runs.  Only operations some output depends on are
+        kept, and a register is reused as soon as its last reader has run,
+        so a replay holds no more intermediate arrays at once than the
+        live set requires.  Calls share no state, so one program may serve
+        concurrent callers.
         """
         reg_of = self._reg_of
         out_regs = []
@@ -741,7 +744,7 @@ class Tape:
                 used.update(op[2])
         order.reverse()
         slot = {reg: i for i, reg in enumerate(self._inputs)}
-        init = [None] * len(slot)
+        init = [None] * len(slot)  # the inputs' registers lead, then constants
         for reg in sorted(used):
             if reg in self._consts:
                 slot[reg] = len(init)
@@ -780,37 +783,20 @@ class Tape:
         starts = range(0, len(lines), _CHUNK_OPS)
         src = [f"def _c{lo}(r):\n" + "\n".join(lines[lo:lo + _CHUNK_OPS]) + "\n"
                for lo in starts]
-        src.append(f"def _out(r):\n    return {_render(outputs, ref)}\n")
-        namespace = {"F": tuple(fns)}
+        n_inputs = len(self._inputs)
+        src.append(
+            "def program(inputs):\n"
+            f"    if len(inputs) != {n_inputs}:\n"
+            "        raise ReplayError(\n"
+            f"            f'program recorded for {n_inputs} inputs, got {{len(inputs)}}')\n"
+            "    r = [*inputs, *tail]\n"
+            + "".join(f"    _c{lo}(r)\n" for lo in starts)
+            + f"    return {_render(outputs, ref)}\n"
+        )
+        namespace = {"F": tuple(fns), "tail": tuple(init[n_inputs:]),
+                     "ReplayError": ReplayError}
         for part in src:  # one function at a time bounds the compiler's memory
             exec(compile(part, "<recorded program>", "exec"), namespace)
-        return Program(init, len(self._inputs),
-                       tuple(namespace[f"_c{lo}"] for lo in starts),
-                       namespace["_out"], len(order))
-
-
-class Program:
-    """A compiled recording: plain floats and ndarrays in, outputs out.
-
-    Calls share no state, so one program may serve concurrent callers.
-    """
-
-    __slots__ = ("_init", "_n_inputs", "_chunks", "_out", "n_ops")
-
-    def __init__(self, init, n_inputs, chunks, out, n_ops):
-        self._init = init  # the inputs' registers lead, then the constants
-        self._n_inputs = n_inputs
-        self._chunks = chunks
-        self._out = out
-        self.n_ops = n_ops
-
-    def __call__(self, inputs):
-        if len(inputs) != self._n_inputs:
-            raise ReplayError(
-                f"program recorded for {self._n_inputs} inputs, got {len(inputs)}"
-            )
-        r = self._init[:]
-        r[: self._n_inputs] = inputs
-        for chunk in self._chunks:
-            chunk(r)
-        return self._out(r)
+        program = namespace["program"]
+        program.n_ops = len(order)
+        return program

@@ -370,40 +370,33 @@ def build_scalar(
 # -- registry for the command-line tool ----------------------------------
 
 
+# each builder looks its build_* function up when it runs, so the module
+# attributes stay patchable
+_REGISTRY = {
+    "wing-rock-theorem1": lambda: build_wing_rock("theorem1"),
+    "wing-rock-theorem2": lambda: build_wing_rock("theorem2"),
+    "wing-rock-baseline": lambda: build_wing_rock("baseline-lambda0"),
+    "synthetic-n3-theorem1": lambda: build_synthetic("theorem1"),
+    "synthetic-n3-theorem2": lambda: build_synthetic("theorem2"),
+    "scalar-A": lambda: build_scalar("scalar-A", a_nominal=1.5, x0=1.0),
+    "scalar-B": lambda: build_scalar("scalar-B", a_nominal=1.5, x0=1.0,
+                                     a_deviation=0.5),
+    "scalar-C": lambda: build_scalar(
+        "scalar-C", a_nominal=1.5, x0=1.0, a_deviation=0.5,
+        b_value=-1.5, step=5e-4, horizon=12.0,
+    ),
+}
+
+
 def scenario_names() -> tuple:
-    return (
-        "wing-rock-theorem1",
-        "wing-rock-theorem2",
-        "wing-rock-baseline",
-        "synthetic-n3-theorem1",
-        "synthetic-n3-theorem2",
-        "scalar-A",
-        "scalar-B",
-        "scalar-C",
-    )
+    return tuple(_REGISTRY)
 
 
 def build_named(name: str) -> Scenario:
     """Construct a registry scenario with its canonical settings."""
-    if name == "wing-rock-theorem1":
-        return build_wing_rock("theorem1")
-    if name == "wing-rock-theorem2":
-        return build_wing_rock("theorem2")
-    if name == "wing-rock-baseline":
-        return build_wing_rock("baseline-lambda0")
-    if name == "synthetic-n3-theorem1":
-        return build_synthetic("theorem1")
-    if name == "synthetic-n3-theorem2":
-        return build_synthetic("theorem2")
-    if name == "scalar-A":
-        return build_scalar("scalar-A", a_nominal=1.5, x0=1.0)
-    if name == "scalar-B":
-        return build_scalar("scalar-B", a_nominal=1.5, x0=1.0, a_deviation=0.5)
-    if name == "scalar-C":
-        return build_scalar(
-            "scalar-C", a_nominal=1.5, x0=1.0, a_deviation=0.5,
-            b_value=-1.5, step=5e-4, horizon=12.0,
+    builder = _REGISTRY.get(name)
+    if builder is None:
+        raise ValueError(
+            f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
-    raise ValueError(
-        f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
-    )
+    return builder()

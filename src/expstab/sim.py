@@ -24,8 +24,9 @@ the per-step monitors:
 
 * non-finite or exploding states mark the run diverged;
 * a Nussbaum argument leaving its safe range marks it overflowed;
-* a factorization residual above the configured tolerance aborts, since
-  the damping gains would silently run on a degraded factor otherwise;
+* a factorization residual above the configured tolerance at any
+  accepted state, the final one included, aborts, since the damping gains
+  would silently run on a degraded factor otherwise;
 * the gain argument of the unknown-direction controllers is checked to
   be non-decreasing with zero tolerance.
 
@@ -513,6 +514,25 @@ def simulate(scenario: Scenario) -> Trajectory:
             diag_rec["V"][idx] = energy(out[2], y[n : n + q], y[-1])
         idx += 1
 
+    def accept(t, y, tp, keep):
+        """The first stage at an accepted state: residual gate, then record."""
+        nonlocal max_resid, status, failure_time, failure_reason
+        out = stage(t, y, tp)
+        if resid_tol is not None:
+            r = max(max(out[4]), out[5])
+            if r > max_resid:
+                max_resid = r
+            if r > resid_tol:
+                status = "residual-exceeded"
+                failure_time = t
+                failure_reason = (
+                    f"factorization residual {r:.3e} > tolerance {resid_tol:g}"
+                )
+                raise _Abort
+        if keep:
+            record(t, y, out)
+        return out
+
     try:
         for seg in segments:
             seg_end = float(seg[-1])
@@ -526,22 +546,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 # staying far below the integration error
                 tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
 
-                out = stage(t0, y, t0)
-
-                if resid_tol is not None:
-                    r = max(max(out[4]), out[5])
-                    if r > max_resid:
-                        max_resid = r
-                    if r > resid_tol:
-                        status = "residual-exceeded"
-                        failure_time = t0
-                        failure_reason = (
-                            f"factorization residual {r:.3e} > tolerance {resid_tol:g}"
-                        )
-                        raise _Abort
-                if step_count % every == 0:
-                    record(t0, y, out)
-
+                out = accept(t0, y, t0, step_count % every == 0)
                 y = rk4_step(stage, t0, t1, y, out[0], tp1)
                 step_count += 1
 
@@ -563,23 +568,15 @@ def simulate(scenario: Scenario) -> Trajectory:
                         if inc < xi_min_increment:
                             xi_min_increment = inc
                     xi_prev = xi_new
+        # the final accepted state, always recorded
+        t0 = float(segments[-1][-1])
+        accept(t0, y, t0 - 1e-12, True)
     except _Abort:
         pass
     except _NUMERICAL as exc:
         # a violent blowup can overflow inside the stage arithmetic before
         # the per-step finiteness check sees it; same verdict either way
         status, failure_time, failure_reason = _failure(exc, t0)
-    else:
-        # final accepted state
-        t_end = float(segments[-1][-1])
-        try:
-            out = stage(t_end, y, t_end - 1e-12)
-        except _NUMERICAL as exc:
-            status, failure_time, failure_reason = _failure(exc, t_end)
-        else:
-            if resid_tol is not None:
-                max_resid = max(max_resid, max(out[4]), out[5])
-            record(t_end, y, out)
 
     monitors = {
         "max_residual": max_resid if resid_tol is not None else None,

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from expstab import cli
-from expstab.cli import EXIT_CONFIG, EXIT_MONITOR, EXIT_OK, main, parse_config_file
+from expstab.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_MONITOR,
+    EXIT_OK,
+    main,
+    parse_config_file,
+)
 from expstab.sim import load_csv
 
 
@@ -55,6 +62,28 @@ def test_run_rejects_bad_gain(tmp_path):
         "--out", str(tmp_path),
     ])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", ["x0", "theta_hat0"])
+def test_component_overrides_count_from_one(tmp_path, key):
+    scn = cli.build_named("wing-rock-theorem1")
+    got = getattr(cli.apply_override(scn, f"{key}_2", 0.5), key)
+    assert got.tolist() == [getattr(scn, key)[0], 0.5]
+    with pytest.raises(cli.ConfigError, match="index out of range"):
+        cli.apply_override(scn, f"{key}_0", 0.5)
+    rc = main(["run", "--scenario", "wing-rock-theorem1", "--set", f"{key}_0=0.5",
+               "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_CONFIG
+
+
+def test_run_exits_3_when_the_residual_gate_trips(tmp_path):
+    rc = main(["run", "--scenario", "synthetic-n3-theorem1", "--set", "resid_tol=1e-30",
+               "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_DIVERGED
+    report = (tmp_path / "report.txt").read_text()
+    assert "status:     residual-exceeded" in report
+    assert "cause:      factorization residual " in report
+    assert "> tolerance 1e-30" in report
 
 
 @pytest.mark.parametrize("argv", [
@@ -148,6 +177,18 @@ def test_comparison_csv_holds_each_float_of_the_table(tmp_path, monkeypatch):
                                        "envelope_amplitude")]
         assert got == [w.settling_time, w.peak_x1, w.peak_u, w.envelope_amplitude]
     assert any(w.settling_time == float("inf") for w in want)  # unsettled at 0.3 s
+
+
+def test_compare_in_worker_processes_writes_the_same_files(tmp_path):
+    outs = []
+    for workers in ("1", "2"):
+        outs.append(tmp_path / f"workers{workers}")
+        rc = main(["compare", "--scenario", "scalar-A", "--scenario", "scalar-B",
+                   "--horizon", "0.3", "--workers", workers, "--out", str(outs[-1]),
+                   "--quiet"])
+        assert rc == EXIT_OK
+    for name in ("comparison.csv", "comparison.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_compare_needs_two(tmp_path):

@@ -221,17 +221,18 @@ _ZERO_TESTED_OPS = {1: 39, 2: 39, 3: 892, 4: 8690}
 def test_zero_folds_keep_programs_small(engines, n):
     engine = engines[n]
     engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2)[:n], (0.1, 0.2))
-    assert engine._program.n_ops <= _ZERO_TESTED_OPS[n]
+    assert engine._programs[None].n_ops <= _ZERO_TESTED_OPS[n]
 
 
 def test_order4_program_is_compiled_in_bounded_chunks(engines):
     engine = engines[4]
     ev = engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2), (0.1, 0.2))
     assert math.isfinite(ev.kappa) and ev.max_residual() <= 1e-8
-    program = engine._program
+    program = engine._programs[None]
     assert program.n_ops > 5000
     # one generated function per bounded run of operations, never one huge one
-    assert len(program._chunks) >= program.n_ops / duals._CHUNK_OPS
+    chunks = [name for name in program.__globals__ if name.startswith("_c")]
+    assert len(chunks) >= program.n_ops / duals._CHUNK_OPS
 
 
 # -- the closed-loop program ----------------------------------------------------

@@ -205,11 +205,17 @@ def test_npz_round_trip_bit_exact(tmp_path, short_run):
     back = load_npz(path)
     assert back.status == short_run.status
     assert back.controller == short_run.controller
+    assert back.scenario_name == short_run.scenario_name
+    assert back.aux_name == short_run.aux_name
+    assert back.failure_time == short_run.failure_time
+    assert back.monitors == short_run.monitors
     assert np.array_equal(back.t, short_run.t)
     assert np.array_equal(back.x, short_run.x)
     assert np.array_equal(back.u, short_run.u)
     assert np.array_equal(back.theta_hat, short_run.theta_hat)
     assert np.array_equal(back.aux, short_run.aux)
+    assert np.array_equal(back.mu, short_run.mu)
+    assert np.array_equal(back.s, short_run.s)
     for k in short_run.diag:
         assert np.array_equal(back.diag[k], short_run.diag[k])
     assert back.meta["schema"] == "expstab-trajectory-v1"
@@ -290,6 +296,47 @@ def test_numerical_failure_keeps_its_cause(tmp_path):
     export_npz(traj, tmp_path / "failed.npz")
     assert load_npz(tmp_path / "failed.npz").monitors["failure_reason"] == (
         "ValueError: math domain error")
+
+
+def test_residual_above_tolerance_at_the_initial_state_ends_the_run(tmp_path):
+    # Q = 8 leaves this plant's factorization residual near 3e-8 at x0
+    traj = simulate(scenarios.build_synthetic("theorem1", seed=2, horizon=0.01))
+    assert traj.status == "residual-exceeded" and traj.failure_time == 0.0
+    assert traj.monitors["steps"] == 0 and len(traj.t) == 0
+    tol = traj.monitors["residual_tol"]
+    assert tol < traj.monitors["max_residual"] < 1e-6
+    assert traj.monitors["failure_reason"] == (
+        f"factorization residual {traj.monitors['max_residual']:.3e} "
+        f"> tolerance {tol:g}")
+    export_npz(traj, tmp_path / "failed.npz")
+    back = load_npz(tmp_path / "failed.npz")
+    assert back.failure_time == 0.0 and back.monitors == traj.monitors
+
+
+def test_residual_above_tolerance_at_the_final_state_ends_the_run(monkeypatch):
+    scn = build_wing_rock("theorem1", horizon=0.01)
+    stage_of = sim._stage
+
+    def late_miss(scn):
+        stage, *rest = stage_of(scn)
+        tol = rest[2]
+
+        def missing(t, y, tp):
+            dy, u, s, kappa, resid_w, resid_psi = stage(t, y, tp)
+            # the last stage of the last step also runs at the horizon,
+            # but only first stages at accepted states are gated
+            return dy, u, s, kappa, resid_w, 10.0 * tol if t == scn.horizon else resid_psi
+
+        return (missing, *rest)
+
+    monkeypatch.setattr(sim, "_stage", late_miss)
+    traj = simulate(scn)
+    tol = scn.gains.resid_tol
+    assert traj.status == "residual-exceeded"
+    assert traj.failure_time == scn.horizon
+    assert traj.monitors["steps"] == len(traj.t) > 0  # every step ran
+    assert traj.monitors["failure_reason"] == (
+        f"factorization residual {10.0 * tol:.3e} > tolerance {tol:g}")
 
 
 def test_divergence_by_the_state_check_says_so():
