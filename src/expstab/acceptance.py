@@ -29,7 +29,7 @@ from .scalar import ScalarGains, ScalarState, scalar_A_law, scalar_B_law
 from .scenarios import build_scalar, build_synthetic, build_wing_rock, wing_rock_model
 from .sim import Trajectory, simulate
 
-__all__ = ["CriterionResult", "AcceptanceCache", "CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "AcceptanceCache", "CRITERIA", "run_all"]
 
 
 @dataclass
@@ -44,11 +44,16 @@ class CriterionResult:
 
 
 class AcceptanceCache:
-    """Lazily simulated shared runs with wall-time bookkeeping."""
+    """Lazily simulated shared runs with wall-time bookkeeping.
+
+    ``draws`` maps each criterion-5 draw's name to its status and
+    terminal ``(x, theta_hat, aux)``, filled when criterion 5 runs.
+    """
 
     def __init__(self):
         self._store = {}
         self.wall = {}
+        self.draws = {}
 
     def _run(self, key: str, builder: Callable):
         if key not in self._store:
@@ -79,6 +84,11 @@ class AcceptanceCache:
 
     def all_cached_runs(self):
         return dict(self._store)
+
+
+def _terminal_state(tr: Trajectory) -> np.ndarray:
+    """The last recorded ``(x, theta_hat, aux)``, empty for a run with no rows."""
+    return np.concatenate([tr.x[-1:], tr.theta_hat[-1:], tr.aux[-1:]], axis=1).ravel()
 
 
 def criterion_1(cache: AcceptanceCache) -> CriterionResult:
@@ -168,12 +178,17 @@ def criterion_5(cache: AcceptanceCache) -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
 
+    def run(scn):
+        tr = simulate(scn)
+        cache.draws[scn.name] = (tr.status, _terminal_state(tr))
+        return tr
+
     for i in range(50):  # constant-parameter design
         a = float(rng.uniform(-3.0, 3.0))
         x0 = float(rng.uniform(-2.0, 2.0))
         scn = build_scalar("scalar-A", a_nominal=a, x0=x0, horizon=20.0,
                            step=1e-3, record_every=10, name=f"A-{i}")
-        tr = simulate(scn)
+        tr = run(scn)
         fit = fit_envelope(tr, rate=0.6)
         if not (tr.completed and fit.holds):
             failures.append(f"A-{i}(a={a:.2f},x0={x0:.2f})")
@@ -184,7 +199,7 @@ def criterion_5(cache: AcceptanceCache) -> CriterionResult:
         x0 = float(rng.uniform(-2.0, 2.0))
         scn = build_scalar("scalar-B", a_nominal=a, a_deviation=dev, x0=x0,
                            horizon=20.0, step=1e-3, record_every=10, name=f"B-{i}")
-        tr = simulate(scn)
+        tr = run(scn)
         fit = fit_envelope(tr, rate=0.6)
         if not (tr.completed and fit.holds):
             failures.append(f"B-{i}(a={a:.2f},dev={dev:.2f},x0={x0:.2f})")
@@ -197,7 +212,7 @@ def criterion_5(cache: AcceptanceCache) -> CriterionResult:
         scn = build_scalar("scalar-C", a_nominal=a, a_deviation=dev, x0=x0,
                            b_value=b, horizon=12.0, step=5e-4, record_every=10,
                            name=f"C-{i}")
-        tr = simulate(scn)
+        tr = run(scn)
         fit = fit_envelope(tr, rate=0.6)
         mono_ok = (
             tr.monitors["xi_min_increment"] is not None
@@ -316,9 +331,7 @@ def criterion_7(cache: AcceptanceCache) -> CriterionResult:
 
     t1 = cache.wing_rock_t1()
     t1h = cache.wing_rock_t1_half_step()
-    terminal = np.concatenate([t1.x[-1], t1.theta_hat[-1], t1.aux[-1]])
-    terminal_h = np.concatenate([t1h.x[-1], t1h.theta_hat[-1], t1h.aux[-1]])
-    halving = float(np.max(np.abs(terminal - terminal_h)))
+    halving = float(np.max(np.abs(_terminal_state(t1) - _terminal_state(t1h))))
 
     checks = {
         "sensitivities vs central differences (rel <= 1e-5)": worst_fd <= 1e-5,
@@ -400,12 +413,6 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
 }
-
-
-def run_criterion(number: int, cache: Optional[AcceptanceCache] = None) -> CriterionResult:
-    if cache is None:
-        cache = AcceptanceCache()
-    return CRITERIA[number](cache)
 
 
 def run_all(cache: Optional[AcceptanceCache] = None, only=None, report=print):

@@ -89,17 +89,28 @@ def _replace_gain(gains, **changes):
     return dataclasses.replace(gains, **changes)
 
 
+def _integral(value) -> int:
+    """``value`` as an int; a fraction raises instead of truncating."""
+    if float(value) != int(value):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def apply_override(scenario, key: str, value):
     """Return a scenario with one named parameter replaced.
 
     Recognized keys: ``lambda``, ``k``/``k1..k9``, ``delta_theta``,
     ``delta_a``, ``eps_psi``, ``gamma_rho``, ``gamma_a``, ``quad_nodes``,
     ``resid_tol``, ``rho_hat0``, ``xi0``, ``a_hat0``, ``horizon_s``,
-    ``step_s``, ``record_every``, ``x0_<i>``, ``theta_hat0_<i>``.
+    ``step_s``, ``record_every``, ``x0_<i>``, ``theta_hat0_<i>``.  Every
+    key takes a number, never a boolean; ``quad_nodes`` and
+    ``record_every`` take only integral ones.
     """
     g = scenario.gains
     engine = isinstance(g, GainConfig)
     try:
+        if isinstance(value, bool):  # float(True) would read it as 1.0
+            raise ValueError("expected a number")
         if key == "lambda":
             gains = _replace_gain(g, lam=float(value))
             return dataclasses.replace(scenario, gains=gains)
@@ -118,7 +129,7 @@ def apply_override(scenario, key: str, value):
             )
         if key == "quad_nodes" and engine:
             return dataclasses.replace(
-                scenario, gains=_replace_gain(g, quad_nodes=int(value))
+                scenario, gains=_replace_gain(g, quad_nodes=_integral(value))
             )
         if key in ("delta_a", "gamma_a") and not engine:
             return dataclasses.replace(
@@ -135,7 +146,7 @@ def apply_override(scenario, key: str, value):
         if key == "step_s":
             return dataclasses.replace(scenario, step=float(value))
         if key == "record_every":
-            return dataclasses.replace(scenario, record_every=int(value))
+            return dataclasses.replace(scenario, record_every=_integral(value))
         for prefix, field in (("x0_", "x0"), ("theta_hat0_", "theta_hat0")):
             if key.startswith(prefix):
                 i = int(key[len(prefix):]) - 1
@@ -144,7 +155,7 @@ def apply_override(scenario, key: str, value):
                 vec = np.array(getattr(scenario, field), dtype=float)
                 vec[i] = float(value)
                 return dataclasses.replace(scenario, **{field: vec})
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"bad override {key}={value!r}: {exc}") from exc
     raise ConfigError(f"unknown override key {key!r}")
 

@@ -69,9 +69,6 @@ class NussbaumSpec:
         if self.kind == "user" and self.fn is None:
             raise ValueError("kind 'user' requires fn")
 
-    def value(self, xi: float) -> float:
-        return nussbaum_value(self, xi)
-
 
 def nussbaum_value(spec: NussbaumSpec, xi):
     """Evaluate N(xi) for scalar or array ``xi`` within [0, xi_max].

@@ -37,7 +37,10 @@ scalar laws raise on non-finite values.  Program errors (``TypeError``,
 ``IndexError``, a fault replaying the engine's recording, ...) propagate.
 
 Recording is decimated by ``record_every`` (the final state is always
-recorded); monitors run on every accepted step regardless.
+recorded); monitors run on every accepted step regardless.  A run is
+recorded as one table, one row per recorded state; the ``Trajectory``
+arrays are its column slices, and the closed-loop energy ``V`` is
+computed from the recorded columns after the run.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,8 +122,9 @@ class Scenario:
             raise ScenarioError(f"step must be positive and finite, got {self.step}")
         if not 0.0 < self.horizon < math.inf:
             raise ScenarioError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.record_every < 1:
-            raise ScenarioError("record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ScenarioError(f"record_every must be an integer >= 1, got {every!r}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.model.n,):
             raise ScenarioError(
@@ -405,44 +411,25 @@ def _stage(scn: Scenario) -> tuple:
     return stage, y0, None, None, lambda: (0, 0)
 
 
-def _energy_fn(scn: Scenario):
-    """Closed-loop energy monitor, available when nominal hints are given.
+def _energy(scn: Scenario, s, theta_hat, aux):
+    """Closed-loop energy of the recorded rows, when nominal hints are given.
 
     V = |s|^2/2 + (l_theta - th)^T Gamma^-1 (l_theta - th)/2
         + |l_b| (1/l_b - rho_hat)^2 / (2 gamma_rho)
 
-    Runs once per recorded step, so it is written in plain floats.
+    A function of the recorded ``s``, ``theta_hat`` and ``rho_hat`` (the
+    ``aux`` column) of a known-direction run; None without the hints.
     """
     if scn.bounds is None or scn.bounds.ell_theta_hint is None:
         return None
     if scn.controller not in ("theorem1", "baseline-lambda0"):
         return None
-    ell_th = tuple(float(v) for v in np.asarray(scn.bounds.ell_theta_hint))
+    err = np.asarray(scn.bounds.ell_theta_hint, dtype=float) - theta_hat
+    gamma_inv = np.linalg.inv(np.asarray(scn.gains.Gamma, dtype=float))
+    V = 0.5 * np.sum(s * s, axis=1) + 0.5 * np.sum(err @ gamma_inv.T * err, axis=1)
     ell_b = scn.bounds.ell_b_hint
-    gi_rows = tuple(
-        tuple(float(v) for v in row)
-        for row in np.linalg.inv(np.asarray(scn.gains.Gamma, dtype=float))
-    )
-    gamma_rho = scn.gains.gamma_rho
-
-    def V(s_vec, th, rho):
-        acc = 0.0
-        for sv in s_vec:
-            acc += sv * sv
-        val = 0.5 * acc
-        err = tuple(e - t for e, t in zip(ell_th, th))
-        quad = 0.0
-        for row, e1 in zip(gi_rows, err):
-            inner = 0.0
-            for g, e2 in zip(row, err):
-                if g != 0.0:
-                    inner += g * e2
-            quad += e1 * inner
-        val += 0.5 * quad
-        if ell_b is not None:
-            val += abs(ell_b) / (2.0 * gamma_rho) * (1.0 / ell_b - rho) ** 2
-        return val
-
+    if ell_b is not None:
+        V += abs(ell_b) / (2.0 * scn.gains.gamma_rho) * (1.0 / ell_b - aux[:, 0]) ** 2
     return V
 
 
@@ -458,33 +445,17 @@ def simulate(scenario: Scenario) -> Trajectory:
     started = time.perf_counter()
     scenario.validate()
     model = scenario.model
-    segments, n_steps = build_grid(
+    segments, _ = build_grid(
         scenario.horizon, scenario.step, model.breakpoints(scenario.horizon)
     )
 
     stage, y, aux_name, resid_tol, replays = _stage(scenario)
     n = model.n
-    q = model.q
     lam = scenario.gains.lam
-    energy = _energy_fn(scenario)
-
+    exp = math.exp
     every = scenario.record_every
-    n_rec = n_steps // every + 2
-    t_rec = np.empty(n_rec)
-    x_rec = np.empty((n_rec, n))
-    u_rec = np.empty(n_rec)
-    th_rec = np.empty((n_rec, q))
-    has_aux = aux_name is not None
     track_xi = aux_name == "xi"
-    aux_rec = np.empty((n_rec, 1 if has_aux else 0))
-    mu_rec = np.empty(n_rec)
-    s_rec = np.empty((n_rec, n))
-    diag_keys = ["kappa"]
-    if resid_tol is not None:
-        diag_keys += ["resid_w", "resid_psi"]
-    if energy is not None:
-        diag_keys += ["V"]
-    diag_rec = {k: np.empty(n_rec) for k in diag_keys}
+    table = array("d")  # the record, one row per recorded state
 
     status = "completed"
     failure_time = None
@@ -492,27 +463,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     max_resid = 0.0
     xi_min_increment = math.inf
     xi_prev = None
-
-    idx = 0
     step_count = 0
-
-    def record(t, y, out):
-        nonlocal idx
-        t_rec[idx] = t
-        x_rec[idx] = y[:n]
-        u_rec[idx] = out[1]
-        th_rec[idx] = y[n : n + q]
-        if has_aux:
-            aux_rec[idx, 0] = y[-1]
-        mu_rec[idx] = math.exp(lam * t)
-        s_rec[idx] = out[2]
-        diag_rec["kappa"][idx] = out[3]
-        if resid_tol is not None:
-            diag_rec["resid_w"][idx] = max(out[4])
-            diag_rec["resid_psi"][idx] = out[5]
-        if energy is not None:
-            diag_rec["V"][idx] = energy(out[2], y[n : n + q], y[-1])
-        idx += 1
 
     def accept(t, y, tp, keep):
         """The first stage at an accepted state: residual gate, then record."""
@@ -530,7 +481,8 @@ def simulate(scenario: Scenario) -> Trajectory:
                 )
                 raise _Abort
         if keep:
-            record(t, y, out)
+            row = (t,) + y[:n] + (out[1],) + y[n:] + (exp(lam * t),) + out[2] + (out[3],)
+            table.extend(row if resid_tol is None else row + (max(out[4]), out[5]))
         return out
 
     try:
@@ -578,6 +530,18 @@ def simulate(scenario: Scenario) -> Trajectory:
         # the per-step finiteness check sees it; same verdict either way
         status, failure_time, failure_reason = _failure(exc, t0)
 
+    # a row is t, x, u, y[n:] (theta_hat, aux), mu, s, kappa[, resid_w, resid_psi]
+    q = model.q
+    diag_keys = ["kappa"] if resid_tol is None else ["kappa", "resid_w", "resid_psi"]
+    rows = np.frombuffer(table).reshape(-1, len(y) + n + 3 + len(diag_keys))
+    t, x, u, theta_hat, aux, mu, s, diag = np.split(
+        rows, np.cumsum((1, n, 1, q, len(y) - n - q, 1, n)), axis=1
+    )
+    diag = dict(zip(diag_keys, diag.T))
+    energy = _energy(scenario, s, theta_hat, aux)
+    if energy is not None:
+        diag["V"] = energy
+
     monitors = {
         "max_residual": max_resid if resid_tol is not None else None,
         "residual_tol": resid_tol,
@@ -604,15 +568,15 @@ def simulate(scenario: Scenario) -> Trajectory:
         controller=scenario.controller,
         status=status,
         failure_time=failure_time,
-        t=t_rec[:idx],
-        x=x_rec[:idx],
-        u=u_rec[:idx],
-        theta_hat=th_rec[:idx],
-        aux=aux_rec[:idx],
+        t=t[:, 0],
+        x=x,
+        u=u[:, 0],
+        theta_hat=theta_hat,
+        aux=aux,
         aux_name=aux_name,
-        mu=mu_rec[:idx],
-        s=s_rec[:idx],
-        diag={k: v[:idx] for k, v in diag_rec.items()},
+        mu=mu[:, 0],
+        s=s,
+        diag=diag,
         monitors=monitors,
         meta=meta,
     )

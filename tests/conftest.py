@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from expstab import BacksteppingEngine, GainConfig
+from expstab.acceptance import AcceptanceCache
 from expstab.scenarios import build_synthetic, build_wing_rock, wing_rock_model
 
 
@@ -45,6 +46,12 @@ def wr_short_t1():
     from expstab.sim import simulate
 
     return simulate(build_wing_rock("theorem1", horizon=2.0))
+
+
+@pytest.fixture(scope="session")
+def cache():
+    """The acceptance runs, simulated once and shared by the acceptance and golden tests."""
+    return AcceptanceCache()
 
 
 # property tests draw the same examples on every run, and few of them

@@ -1,8 +1,8 @@
 """The acceptance gate: one test per criterion, at the stated tolerances.
 
-The expensive closed-loop runs are shared through a session-scoped cache,
-and every criterion prints its pass/fail line so a verbose run doubles as
-the acceptance report.
+The expensive closed-loop runs are shared through the session-scoped
+``cache`` fixture of ``conftest.py``, and every criterion prints its
+pass/fail line so a verbose run doubles as the acceptance report.
 """
 
 import numpy as np
@@ -10,11 +10,6 @@ import pytest
 
 from expstab.acceptance import CRITERIA, AcceptanceCache
 from expstab.sim import Trajectory
-
-
-@pytest.fixture(scope="session")
-def cache():
-    return AcceptanceCache()
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))

@@ -76,6 +76,15 @@ def test_component_overrides_count_from_one(tmp_path, key):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("pair", ["quad_nodes=8.7", "record_every=2.9",
+                                  "horizon_s=true", "x0_1=yes"])
+def test_overrides_refuse_fractional_integers_and_booleans(tmp_path, capsys, pair):
+    rc = main(["run", "--scenario", "wing-rock-theorem1", "--set", pair,
+               "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_run_exits_3_when_the_residual_gate_trips(tmp_path):
     rc = main(["run", "--scenario", "synthetic-n3-theorem1", "--set", "resid_tol=1e-30",
                "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])

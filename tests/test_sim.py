@@ -142,6 +142,10 @@ def test_scenario_validation_errors():
     t2 = build_wing_rock("theorem2", horizon=1.0)
     with pytest.raises(ScenarioError):
         dataclasses.replace(t2, xi0=-0.5).validate()
+    # a fractional or boolean decimation would silently record other rows
+    for bad in (2.5, True, 0):
+        with pytest.raises(ScenarioError, match="record_every"):
+            dataclasses.replace(scn, record_every=bad).validate()
     # the scalar laws estimate one parameter, recorded as theta_hat's only column
     scalar_a = build_scalar("scalar-A", a_nominal=1.0, x0=0.8, horizon=1.0)
     two = dataclasses.replace(scalar_a.model, q=2, theta_signal=lambda t: (1.0, 0.0),
@@ -303,6 +307,11 @@ def test_residual_above_tolerance_at_the_initial_state_ends_the_run(tmp_path):
     traj = simulate(scenarios.build_synthetic("theorem1", seed=2, horizon=0.01))
     assert traj.status == "residual-exceeded" and traj.failure_time == 0.0
     assert traj.monitors["steps"] == 0 and len(traj.t) == 0
+    # an empty record keeps every column's width, and the energy column
+    assert [a.shape for a in (traj.x, traj.theta_hat, traj.aux, traj.s)] == [
+        (0, 3), (0, 2), (0, 1), (0, 3)]
+    assert {k: v.shape for k, v in traj.diag.items()} == {
+        "kappa": (0,), "resid_w": (0,), "resid_psi": (0,), "V": (0,)}
     tol = traj.monitors["residual_tol"]
     assert tol < traj.monitors["max_residual"] < 1e-6
     assert traj.monitors["failure_reason"] == (
