@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -174,6 +174,8 @@ class GainConfig:
             )
         if self.quad_nodes < 1:
             raise ValueError("quad_nodes must be >= 1")
+        if not 0.0 < self.resid_tol < math.inf:
+            raise ValueError(f"resid_tol must be positive and finite, got {self.resid_tol}")
         if not self.scaled and self.lam != 0.0:
             raise ValueError("the unscaled code path requires lam = 0")
         if self.Gamma is not None:
@@ -184,15 +186,12 @@ class GainConfig:
                 raise ValueError("Gamma must be positive definite")
 
 
-class GradParts:
+class GradParts(NamedTuple):
     """Partials of one virtual law w.r.t. (xbar, theta_hat, mu)."""
 
-    __slots__ = ("x", "th", "mu")
-
-    def __init__(self, x: tuple, th: tuple, mu):
-        self.x = x
-        self.th = th
-        self.mu = mu
+    x: tuple
+    th: tuple
+    mu: object
 
 
 class _Cascade:
@@ -232,7 +231,7 @@ class _Cascade:
         return taus[j]
 
 
-class EngineEval:
+class EngineEval(NamedTuple):
     """Everything one engine pass produces at a state snapshot.
 
     Per-layer sequences are 0-based (entry ``i-1`` for layer i).  ``W``
@@ -241,35 +240,26 @@ class EngineEval:
     filled on every evaluation.
     """
 
-    __slots__ = (
-        "t", "x", "theta_hat", "mu", "z", "s", "phi", "w", "tau",
-        "alpha", "grad_alpha", "W", "W_frob_sq", "zeta", "psi", "psi_bar",
-        "kappa", "resid_w", "resid_psi", "theta_hat_dot",
-    )
-
-    def __init__(self, t, x, theta_hat, mu, z, s, phi, w, tau, alpha,
-                 grad_alpha, W, W_frob_sq, zeta, psi, psi_bar, kappa,
-                 resid_w, resid_psi, theta_hat_dot):
-        self.t = t
-        self.x = x
-        self.theta_hat = theta_hat
-        self.mu = mu
-        self.z = z
-        self.s = s
-        self.phi = phi
-        self.w = w
-        self.tau = tau
-        self.alpha = alpha
-        self.grad_alpha = grad_alpha
-        self.W = W
-        self.W_frob_sq = W_frob_sq
-        self.zeta = zeta
-        self.psi = psi
-        self.psi_bar = psi_bar
-        self.kappa = kappa
-        self.resid_w = resid_w
-        self.resid_psi = resid_psi
-        self.theta_hat_dot = theta_hat_dot
+    t: Optional[float]
+    x: tuple
+    theta_hat: tuple
+    mu: object
+    z: tuple
+    s: tuple
+    phi: tuple
+    w: tuple
+    tau: tuple
+    alpha: tuple
+    grad_alpha: tuple
+    W: tuple
+    W_frob_sq: tuple
+    zeta: tuple
+    psi: object
+    psi_bar: tuple
+    kappa: object
+    resid_w: tuple
+    resid_psi: object
+    theta_hat_dot: tuple
 
     def max_residual(self) -> float:
         return max(max(self.resid_w), self.resid_psi)
@@ -299,9 +289,7 @@ def terminal_gain(n: int, cfg: GainConfig, w_frob_sq, psi_bar_sq):
 
 
 # the EngineEval fields a recorded evaluation produces, in program order
-_FULL_FIELDS = ("z", "s", "phi", "w", "tau", "alpha", "grad_alpha", "W",
-                "W_frob_sq", "zeta", "psi", "psi_bar", "kappa", "resid_w",
-                "resid_psi", "theta_hat_dot")
+_FULL_FIELDS = EngineEval._fields[4:]
 
 
 class BacksteppingEngine:
@@ -678,12 +666,8 @@ class BacksteppingEngine:
         mu = float(mu)
         inputs = x + th + (mu,)
         program = self._programs.get(None) or self._record(inputs)
-        (z, s, phi, w, tau, alpha, grad_alpha, W, W_frob_sq, zeta, psi,
-         psi_bar, kappa, resid_w, resid_psi, theta_hat_dot) = program(inputs)
-        return EngineEval(t, x, th, mu, z, s, phi, w, tau, alpha,
-                          tuple(GradParts(*g) for g in grad_alpha), W, W_frob_sq,
-                          zeta, psi, psi_bar, kappa, resid_w, resid_psi,
-                          theta_hat_dot)
+        ev = EngineEval(t, x, th, mu, *program(inputs))
+        return ev._replace(grad_alpha=tuple(GradParts(*g) for g in ev.grad_alpha))
 
     def closed_loop_program(self, law, inputs: tuple):
         """The closed loop's program under ``law``.

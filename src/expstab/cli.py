@@ -41,7 +41,7 @@ from .backstepping import GainConfig
 from .nussbaum import NussbaumSpec, verify_enhanced
 from .scalar import ScalarGains
 from .scenarios import build_named, scenario_names
-from .sim import ScenarioError, Trajectory, export_csv, simulate
+from .sim import AUX_STATE, ScenarioError, Trajectory, export_csv, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,9 +105,16 @@ def apply_override(scenario, key: str, value):
     ``step_s``, ``record_every``, ``x0_<i>``, ``theta_hat0_<i>``.  Every
     key takes a number, never a boolean; ``quad_nodes`` and
     ``record_every`` take only integral ones.
+
+    The initial controller state: ``rho_hat0`` sets ``aux0`` of the
+    known-direction controllers (``theorem1``, ``baseline-lambda0``),
+    ``xi0`` that of the Nussbaum ones (``theorem2``, ``scalar-C``), and
+    ``a_hat0`` is the scalar designs' name for ``theta_hat0_1``.  Any
+    other controller refuses the key with :class:`ConfigError`.
     """
     g = scenario.gains
     engine = isinstance(g, GainConfig)
+    aux_name = AUX_STATE.get(scenario.controller)
     try:
         if isinstance(value, bool):  # float(True) would read it as 1.0
             raise ValueError("expected a number")
@@ -135,12 +142,12 @@ def apply_override(scenario, key: str, value):
             return dataclasses.replace(
                 scenario, gains=_replace_gain(g, **{key: float(value)})
             )
-        if key == "rho_hat0":
-            return dataclasses.replace(scenario, rho_hat0=float(value))
-        if key == "xi0":
-            return dataclasses.replace(scenario, xi0=float(value))
-        if key == "a_hat0":
-            return dataclasses.replace(scenario, a_hat0=float(value))
+        if key in ("rho_hat0", "xi0"):
+            if key != f"{aux_name}0":
+                raise ConfigError(f"{scenario.controller} has no {key[:-1]} state")
+            return dataclasses.replace(scenario, aux0=float(value))
+        if key == "a_hat0" and not engine:
+            key = "theta_hat0_1"
         if key == "horizon_s":
             return dataclasses.replace(scenario, horizon=float(value))
         if key == "step_s":

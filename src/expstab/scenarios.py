@@ -25,7 +25,7 @@ from .backstepping import GainConfig
 from .model import ParameterBounds, SystemModel
 from .nussbaum import NussbaumSpec
 from .scalar import ScalarGains
-from .sim import Scenario
+from .sim import AUX_STATE, Scenario
 
 __all__ = [
     "WING_ROCK_TABLE",
@@ -133,8 +133,6 @@ def build_wing_rock(
     horizon: float = 15.0,
     step: Optional[float] = None,
     record_every: Optional[int] = None,
-    gamma_rho: float = 1.0,
-    quad_nodes: int = 5,
 ) -> Scenario:
     """The benchmark study for one controller variant.
 
@@ -164,12 +162,11 @@ def build_wing_rock(
         delta_theta=tbl["delta_theta"],
         eps_psi=1.0,
         Gamma=tbl["gamma_diag"] * np.eye(2),
-        gamma_rho=gamma_rho,
         sign_b=tbl["sign_b"],
         nussbaum=(
             NussbaumSpec(kind=tbl["nussbaum_kind"]) if variant == "theorem2" else None
         ),
-        quad_nodes=quad_nodes,
+        quad_nodes=5,
     )
     ell_theta, ell_b = _signal_means(model, horizon)
     return Scenario(
@@ -181,8 +178,7 @@ def build_wing_rock(
         horizon=horizon,
         step=step,
         theta_hat0=np.asarray(tbl["theta_hat0"]),
-        rho_hat0=None if variant == "theorem2" else tbl["rho_hat0"],
-        xi0=tbl["xi0"] if variant == "theorem2" else None,
+        aux0=tbl[f"{AUX_STATE[variant]}0"],  # rho_hat0 or xi0
         record_every=record_every,
         bounds=ParameterBounds(
             delta_theta=tbl["delta_theta"],
@@ -279,8 +275,7 @@ def build_synthetic(
         horizon=horizon,
         step=step,
         theta_hat0=np.zeros(2),
-        rho_hat0=None if variant == "theorem2" else -0.5,
-        xi0=0.0 if variant == "theorem2" else None,
+        aux0={"rho_hat": -0.5, "xi": 0.0}[AUX_STATE[variant]],
         record_every=record_every,
         bounds=ParameterBounds(
             delta_theta=delta_theta,
@@ -361,8 +356,8 @@ def build_scalar(
         x0=np.asarray([x0]),
         horizon=horizon,
         step=step,
-        a_hat0=0.0,
-        xi0=0.0 if controller == "scalar-C" else None,
+        theta_hat0=np.zeros(1),
+        aux0=None if AUX_STATE[controller] is None else 0.0,
         record_every=record_every,
     )
 

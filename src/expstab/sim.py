@@ -75,6 +75,7 @@ from .scalar import (  # noqa: F401  (the laws stay importable from here)
 )
 
 __all__ = [
+    "AUX_STATE",
     "Scenario",
     "Trajectory",
     "ScenarioError",
@@ -89,7 +90,18 @@ __all__ = [
 ]
 
 ENGINE_CONTROLLERS = ("theorem1", "theorem2", "baseline-lambda0")
-SCALAR_CONTROLLERS = ("scalar-A", "scalar-B", "scalar-C")
+
+# every controller and its state beyond theta_hat: the inverse-gain
+# estimate when the control direction is known, the Nussbaum argument
+# when it is not, nothing for the scalar designs A and B
+AUX_STATE = {
+    "theorem1": "rho_hat",
+    "theorem2": "xi",
+    "baseline-lambda0": "rho_hat",
+    "scalar-A": None,
+    "scalar-B": None,
+    "scalar-C": "xi",
+}
 
 
 class ScenarioError(ValueError):
@@ -98,7 +110,13 @@ class ScenarioError(ValueError):
 
 @dataclass(eq=False)
 class Scenario:
-    """A fully specified closed-loop experiment."""
+    """A fully specified closed-loop experiment.
+
+    The controller starts from the parameter estimate ``theta_hat0``
+    (shape (q,); the scalar designs' ``a_hat``) and from ``aux0``, the
+    initial value of the state named ``AUX_STATE[controller]``: ``rho_hat``
+    or ``xi``, and None for a controller without one.
+    """
 
     name: str
     model: SystemModel
@@ -107,16 +125,15 @@ class Scenario:
     x0: np.ndarray
     horizon: float
     step: float
-    theta_hat0: Optional[np.ndarray] = None
-    a_hat0: float = 0.0
-    rho_hat0: Optional[float] = None
-    xi0: Optional[float] = None
+    theta_hat0: np.ndarray
+    aux0: Optional[float] = None
     record_every: int = 1
     bounds: Optional[ParameterBounds] = None  # enables the energy monitor
 
     def validate(self) -> None:
-        if self.controller not in ENGINE_CONTROLLERS + SCALAR_CONTROLLERS:
-            raise ScenarioError(f"unknown controller {self.controller!r}")
+        controller = self.controller
+        if controller not in AUX_STATE:
+            raise ScenarioError(f"unknown controller {controller!r}")
         # chained comparisons are false for NaN, so NaN fails every check
         if not 0.0 < self.step < math.inf:
             raise ScenarioError(f"step must be positive and finite, got {self.step}")
@@ -132,37 +149,11 @@ class Scenario:
             )
         if not np.all(np.isfinite(x0)):
             raise ScenarioError(f"x0 must be finite, got {x0}")
-        if self.controller in ENGINE_CONTROLLERS:
+        engine = controller in ENGINE_CONTROLLERS
+        if engine:
             if not isinstance(self.gains, GainConfig):
                 raise ScenarioError("engine controllers need a GainConfig")
-            th0 = np.asarray(self.theta_hat0, dtype=float)
-            if th0.shape != (self.model.q,):
-                raise ScenarioError(
-                    f"theta_hat0 must have shape ({self.model.q},), got {th0.shape}"
-                )
-            if not np.all((0.0 <= th0) & (th0 < math.inf)):
-                raise ScenarioError(
-                    f"theta_hat0 must be finite and elementwise nonnegative, got {th0}"
-                )
-            if self.controller == "theorem2":
-                if self.gains.nussbaum is None:
-                    raise ScenarioError("theorem2 requires a Nussbaum spec")
-                if self.xi0 is None or not 0.0 <= self.xi0 < math.inf:
-                    raise ScenarioError(
-                        f"theorem2 requires a finite xi0 >= 0, got {self.xi0}"
-                    )
-            else:
-                rho = self.rho_hat0
-                if rho is None or rho == 0.0 or not math.isfinite(rho):
-                    raise ScenarioError(
-                        f"theorem1 requires a finite nonzero rho_hat0, got {rho}"
-                    )
-                if rho * self.gains.sign_b <= 0.0:
-                    raise ScenarioError(
-                        "rho_hat0 must have the sign of the control direction: "
-                        f"rho_hat0={self.rho_hat0}, sign_b={self.gains.sign_b}"
-                    )
-            if self.controller == "baseline-lambda0" and self.gains.lam != 0.0:
+            if controller == "baseline-lambda0" and self.gains.lam != 0.0:
                 raise ScenarioError("baseline-lambda0 requires lam = 0")
         else:
             if not isinstance(self.gains, ScalarGains):
@@ -171,15 +162,35 @@ class Scenario:
                 raise ScenarioError("scalar controllers require a first-order plant")
             if self.model.q != 1:
                 raise ScenarioError("scalar controllers require one parameter (q = 1)")
-            if not math.isfinite(self.a_hat0):
-                raise ScenarioError(f"a_hat0 must be finite, got {self.a_hat0}")
-            if self.controller == "scalar-C":
-                if self.gains.nussbaum is None:
-                    raise ScenarioError("scalar-C requires a Nussbaum spec")
-                if self.xi0 is None or not 0.0 <= self.xi0 < math.inf:
-                    raise ScenarioError(
-                        f"scalar-C requires a finite xi0 >= 0, got {self.xi0}"
-                    )
+        th0 = np.asarray(self.theta_hat0, dtype=float)
+        if th0.shape != (self.model.q,):
+            raise ScenarioError(
+                f"theta_hat0 must have shape ({self.model.q},), got {th0.shape}"
+            )
+        if not np.all(np.isfinite(th0)) or (engine and np.any(th0 < 0.0)):
+            sign = " and elementwise nonnegative" if engine else ""
+            raise ScenarioError(f"theta_hat0 must be finite{sign}, got {th0}")
+        aux_name = AUX_STATE[controller]
+        if aux_name == "xi":
+            if self.gains.nussbaum is None:
+                raise ScenarioError(f"{controller} requires a Nussbaum spec")
+            if self.aux0 is None or not 0.0 <= self.aux0 < math.inf:
+                raise ScenarioError(
+                    f"{controller} requires a finite xi0 >= 0, got {self.aux0}"
+                )
+        elif aux_name == "rho_hat":
+            rho = self.aux0
+            if rho is None or rho == 0.0 or not math.isfinite(rho):
+                raise ScenarioError(
+                    f"theorem1 requires a finite nonzero rho_hat0, got {rho}"
+                )
+            if rho * self.gains.sign_b <= 0.0:
+                raise ScenarioError(
+                    "rho_hat0 must have the sign of the control direction: "
+                    f"rho_hat0={rho}, sign_b={self.gains.sign_b}"
+                )
+        elif self.aux0 is not None:
+            raise ScenarioError(f"{controller} has no aux state, got aux0={self.aux0}")
 
 
 @dataclass(eq=False)
@@ -331,7 +342,8 @@ def _stage(scn: Scenario) -> tuple:
 
     Returns ``(f, y0, aux_name, resid_tol, replays)``.  Every controller's
     stage ``f(t, y, tp)`` returns ``(dy, u, s, kappa, resid_w, resid_psi)``;
-    the estimate is ``y[n:n+q]`` and the aux state, if any, is ``y[-1]``.
+    the estimate is ``y[n:n+q]`` and the aux state ``AUX_STATE[controller]``,
+    if any, is ``y[-1]``, so ``y0`` is ``x0 + theta_hat0 + (aux0,)``.
     ``resid_tol`` is None when the stage reports no factorization
     residuals, and ``replays()`` gives ``(program_calls, program_ops)``.
 
@@ -346,15 +358,17 @@ def _stage(scn: Scenario) -> tuple:
     gains = scn.gains
     lam = gains.lam
     exp = math.exp
+    aux_name = AUX_STATE[scn.controller]
+    y0 = (
+        tuple(float(v) for v in scn.x0)
+        + tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
+        + (() if aux_name is None else (float(scn.aux0),))
+    )
 
     if scn.controller in ENGINE_CONTROLLERS:
         engine = BacksteppingEngine(scn.model, gains)
         # looked up per run, so the module attributes stay patchable
-        law = control_theorem2 if scn.controller == "theorem2" else control_theorem1
-        aux_name = "xi" if scn.controller == "theorem2" else "rho_hat"
-        th0 = tuple(float(v) for v in np.asarray(scn.theta_hat0, dtype=float))
-        aux0 = scn.xi0 if scn.controller == "theorem2" else scn.rho_hat0
-        y0 = tuple(float(v) for v in scn.x0) + th0 + (float(aux0),)
+        law = control_theorem2 if aux_name == "xi" else control_theorem1
         program = None
         calls = 0
 
@@ -390,25 +404,22 @@ def _stage(scn: Scenario) -> tuple:
             acc += pc * sig[c]
         return acc
 
-    y0 = (float(scn.x0[0]), float(scn.a_hat0))
-    if scn.controller == "scalar-C":
+    if aux_name == "xi":
         def stage(t, y, tp):
             x, a_hat, xi = y
             mu = exp(lam * t)
             s = mu * x
             u, a_dot, xi_dot = rates(x, a_hat, mu, s, xi, gains)
             return (plant(x, u, tp), a_dot, xi_dot), u, (s,), nan, (), 0.0
+    else:
+        def stage(t, y, tp):
+            x, a_hat = y
+            mu = exp(lam * t)
+            s = mu * x
+            u, a_dot = rates(x, a_hat, mu, s, gains)
+            return (plant(x, u, tp), a_dot), u, (s,), nan, (), 0.0
 
-        return stage, y0 + (float(scn.xi0),), "xi", None, lambda: (0, 0)
-
-    def stage(t, y, tp):
-        x, a_hat = y
-        mu = exp(lam * t)
-        s = mu * x
-        u, a_dot = rates(x, a_hat, mu, s, gains)
-        return (plant(x, u, tp), a_dot), u, (s,), nan, (), 0.0
-
-    return stage, y0, None, None, lambda: (0, 0)
+    return stage, y0, aux_name, None, lambda: (0, 0)
 
 
 def _energy(scn: Scenario, s, theta_hat, aux):
@@ -422,7 +433,7 @@ def _energy(scn: Scenario, s, theta_hat, aux):
     """
     if scn.bounds is None or scn.bounds.ell_theta_hint is None:
         return None
-    if scn.controller not in ("theorem1", "baseline-lambda0"):
+    if AUX_STATE[scn.controller] != "rho_hat":
         return None
     err = np.asarray(scn.bounds.ell_theta_hint, dtype=float) - theta_hat
     gamma_inv = np.linalg.inv(np.asarray(scn.gains.Gamma, dtype=float))

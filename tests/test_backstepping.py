@@ -500,3 +500,11 @@ def test_config_validation():
                         theta_signal=lambda t: (0.0,), b_signal=lambda t: 1.0),
             GainConfig(k=(1.0,), lam=0.0, Gamma=np.eye(1)),
         )
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_config_rejects_a_residual_tolerance_not_positive_and_finite(tol):
+    # -1 would end every run at its first state, NaN would switch the gate off
+    with pytest.raises(ValueError, match="resid_tol must be positive and finite"):
+        GainConfig(k=(1.0,), lam=0.0, resid_tol=tol)
+    assert GainConfig(k=(1.0,), lam=0.0, resid_tol=1e-30).resid_tol == 1e-30

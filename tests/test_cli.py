@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expstab
 from expstab import cli
 from expstab.cli import (
     EXIT_CONFIG,
@@ -95,6 +100,43 @@ def test_run_exits_3_when_the_residual_gate_trips(tmp_path):
     assert "> tolerance 1e-30" in report
 
 
+# which initial-state key each controller takes, and the column it starts
+_INITIAL_STATE = {
+    "wing-rock-theorem1": {"rho_hat0": "rho_hat"},
+    "wing-rock-baseline": {"rho_hat0": "rho_hat"},
+    "wing-rock-theorem2": {"xi0": "xi"},
+    "scalar-A": {"a_hat0": "theta_hat_1"},
+    "scalar-B": {"a_hat0": "theta_hat_1"},
+    "scalar-C": {"xi0": "xi", "a_hat0": "theta_hat_1"},
+}
+_INITIAL_VALUE = {"rho_hat0": -0.7, "xi0": 0.25, "a_hat0": 0.125}
+
+
+@pytest.mark.parametrize("key", sorted(_INITIAL_VALUE))
+@pytest.mark.parametrize("name", sorted(_INITIAL_STATE))
+def test_initial_state_overrides_set_the_state_or_exit_2(tmp_path, capsys, name, key):
+    value = _INITIAL_VALUE[key]
+    rc = main(["run", "--scenario", name, "--set", f"{key}={value}",
+               "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])
+    column = _INITIAL_STATE[name].get(key)
+    if column is None:  # the controller has no such state: never dropped silently
+        assert rc == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        return
+    assert rc == EXIT_OK
+    assert load_csv(tmp_path / "trajectory.csv")[column][0] == value
+
+
+def test_module_runs_the_command_line_tool():
+    src = str(Path(expstab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "expstab", "verify-nussbaum"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "overall: pass" in proc.stdout
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "wing-rock-theorem1", "--set", "x0_1=nan"],
     ["--scenario", "wing-rock-theorem1", "--set", "lambda=nan"],
@@ -106,6 +148,7 @@ def test_run_exits_3_when_the_residual_gate_trips(tmp_path):
     ["--scenario", "scalar-A", "--set", "a_hat0=-inf"],
     ["--scenario", "scalar-B", "--set", "delta_a=nan"],
     ["--scenario", "wing-rock-theorem1", "--horizon", "inf"],
+    ["--scenario", "wing-rock-theorem1", "--set", "resid_tol=nan"],  # gate off
 ])
 def test_run_rejects_non_finite_configuration(tmp_path, argv):
     if "--horizon" not in argv:

@@ -24,7 +24,7 @@ def test_benchmark_constants_match_table():
     scn = build_wing_rock("theorem1")
     assert tuple(scn.x0) == tbl["x0"]
     assert tuple(scn.theta_hat0) == tbl["theta_hat0"]
-    assert scn.rho_hat0 == tbl["rho_hat0"]
+    assert scn.aux0 == tbl["rho_hat0"]
     assert scn.gains.k == tbl["k"]
     assert scn.gains.lam == tbl["lam"]
     assert scn.gains.delta_theta == tbl["delta_theta"]
@@ -40,12 +40,11 @@ def test_benchmark_constants_match_table():
 
 def test_variant_wiring():
     t2 = build_wing_rock("theorem2")
-    assert t2.xi0 == 0.0
-    assert t2.rho_hat0 is None
+    assert t2.aux0 == 0.0
     assert t2.gains.nussbaum.kind == "sin-exp-square"
 
     t1 = build_wing_rock("theorem1")
-    assert t1.rho_hat0 == -0.3
+    assert t1.aux0 == -0.3
     assert t1.gains.nussbaum is None
 
     base = build_wing_rock("baseline-lambda0")
@@ -53,7 +52,7 @@ def test_variant_wiring():
     # identical to the known-direction variant except the rate
     assert base.gains.k == t1.gains.k
     assert base.gains.delta_theta == t1.gains.delta_theta
-    assert base.rho_hat0 == t1.rho_hat0
+    assert base.aux0 == t1.aux0
     assert np.array_equal(base.x0, t1.x0)
 
 
@@ -122,7 +121,7 @@ def test_scalar_builder_defaults():
     c = build_scalar("scalar-C", a_nominal=1.0, x0=1.0, b_value=-1.5)
     assert isinstance(c.gains.nussbaum, NussbaumSpec)
     assert c.gains.nussbaum.kind == "cos-exp-square"
-    assert c.xi0 == 0.0
+    assert c.aux0 == 0.0
     b = build_scalar("scalar-B", a_nominal=1.0, x0=1.0, a_deviation=0.4)
     assert b.gains.delta_a == 0.4
 

@@ -94,6 +94,7 @@ def test_divergence_is_detected_and_stamped():
         x0=np.asarray([12.0]),
         horizon=5.0,
         step=1e-3,
+        theta_hat0=np.zeros(1),
     )
     traj = simulate(scn)
     assert traj.status == "diverged"
@@ -136,12 +137,12 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         dataclasses.replace(scn, controller="nope").validate()
     with pytest.raises(ScenarioError):
-        dataclasses.replace(scn, rho_hat0=0.3).validate()  # wrong sign for b < 0
+        dataclasses.replace(scn, aux0=0.3).validate()  # wrong sign for b < 0
     with pytest.raises(ScenarioError):
         dataclasses.replace(scn, theta_hat0=np.asarray([-0.1, 0.0])).validate()
     t2 = build_wing_rock("theorem2", horizon=1.0)
     with pytest.raises(ScenarioError):
-        dataclasses.replace(t2, xi0=-0.5).validate()
+        dataclasses.replace(t2, aux0=-0.5).validate()
     # a fractional or boolean decimation would silently record other rows
     for bad in (2.5, True, 0):
         with pytest.raises(ScenarioError, match="record_every"):
@@ -152,22 +153,26 @@ def test_scenario_validation_errors():
                               regressors=[lambda x1: (x1 * x1, x1)])
     with pytest.raises(ScenarioError, match="q = 1"):
         dataclasses.replace(scalar_a, model=two).validate()
+    # designs A and B carry no state beyond the estimate
+    with pytest.raises(ScenarioError, match="has no aux state"):
+        dataclasses.replace(scalar_a, aux0=0.0).validate()
     # non-finite configuration is rejected before a run starts
     scalar_c = build_scalar("scalar-C", a_nominal=1.0, x0=0.8, a_deviation=0.3,
                             b_value=-1.5, horizon=1.0)
     for bad in (math.nan, math.inf, -math.inf):
         for change in (dict(x0=np.asarray([bad, 0.0])),
                        dict(theta_hat0=np.asarray([0.1, bad])),
-                       dict(rho_hat0=bad), dict(horizon=bad), dict(step=bad)):
+                       dict(aux0=bad), dict(horizon=bad), dict(step=bad)):
             with pytest.raises(ScenarioError):
                 dataclasses.replace(scn, **change).validate()
         with pytest.raises(ScenarioError):
-            dataclasses.replace(t2, xi0=bad).validate()
+            dataclasses.replace(t2, aux0=bad).validate()
         for field in ("lam", "delta_theta", "eps_psi", "gamma_rho", "k"):
             value = (bad, 1.0) if field == "k" else bad
             with pytest.raises(ValueError):
                 dataclasses.replace(scn.gains, **{field: value})
-        for change in (dict(x0=np.asarray([bad])), dict(a_hat0=bad), dict(xi0=bad)):
+        for change in (dict(x0=np.asarray([bad])), dict(theta_hat0=np.asarray([bad])),
+                       dict(aux0=bad)):
             with pytest.raises(ScenarioError):
                 dataclasses.replace(scalar_c, **change).validate()
         for field in ("k", "lam", "gamma_a", "delta_a"):
@@ -366,7 +371,8 @@ def test_non_finite_scalar_state_ends_run_as_diverged(controller, where, value, 
                        horizon=0.03, step=1e-3)
     if where != "theta":
         # a non-finite initial value is a configuration error, not a run
-        change = dict(x0=np.asarray([value])) if where == "x0" else dict(a_hat0=value)
+        change = (dict(x0=np.asarray([value])) if where == "x0"
+                  else dict(theta_hat0=np.asarray([value])))
         with pytest.raises(ScenarioError, match="must be finite"):
             simulate(dataclasses.replace(scn, **change))
         return
@@ -482,3 +488,8 @@ def test_every_controller_records_through_one_stage(name):
     assert traj.meta["program_calls"] == (4 * steps + 1 if engine else 0)
     if not engine:
         assert np.array_equal(traj.s[:, 0], traj.mu * traj.x[:, 0])
+    # the first row is the initial state: x0, theta_hat0 and aux0
+    assert traj.aux_name == sim.AUX_STATE[scn.controller]
+    assert traj.x[0].tolist() == np.asarray(scn.x0, dtype=float).tolist()
+    assert traj.theta_hat[0].tolist() == np.asarray(scn.theta_hat0, dtype=float).tolist()
+    assert traj.aux[0].tolist() == ([] if scn.aux0 is None else [scn.aux0])
