@@ -9,18 +9,23 @@ before the segment end, so each step sees one smooth branch; the nudge
 is far below integration accuracy.
 
 The controller is evaluated inside every stage (continuous-time law, no
-sample-and-hold).  Every controller supplies the same stage, which maps
-``(t, y, tp)`` to ``(dy, u, s, kappa, resid_w, resid_psi)``, so one loop
+sample-and-hold).  Every controller supplies the same stage, a pure
+function of one flat tuple ``y + (mu,) + theta(tp) + (b(tp),)`` that
+returns ``(dy, u, s, kappa, resid_w, resid_psi)``, so one loop
 integrates, records and monitors them all.  For the backstepping
-controllers a stage is one replay of a recorded closed-loop program: the
+controllers the stage is the recorded closed-loop program itself: the
 engine records its cascade, the input law, the estimator rates and the
-plant's right-hand side together once per run, with the parameter
-signals ``theta(tp)`` and ``b(tp)`` as inputs.  The signals are
-evaluated once per distinct signal time: both midpoint stages of a step
-share it, and a step's first stage shares the previous step's last, so a
-step evaluates them about twice instead of four times.  The first stage
-of each step sits exactly on the accepted state, and its outputs feed
-the per-step monitors:
+plant's right-hand side together once per run, at the first stage's
+inputs.  The loop reads ``mu = exp(lam t)`` and the parameter signals
+for each stage and hands them to one step function, generated for the
+state's width and bound to the run's stage, which calls the stage four
+times and keeps the RK4 arithmetic unrolled on locals;
+:func:`integrate_fixed` takes its steps through the same generator.  The signals are evaluated once per
+distinct signal time: both midpoint stages of a step share it, and a
+step's first stage shares the previous step's last, so a step evaluates
+them about twice instead of four times.  The first stage of each step
+sits exactly on the accepted state, and its outputs feed the per-step
+monitors:
 
 * non-finite or exploding states mark the run diverged;
 * a Nussbaum argument leaving its safe range marks it overflowed;
@@ -31,6 +36,9 @@ the per-step monitors:
   be non-decreasing with zero tolerance.
 
 A run that ends early keeps its cause in ``monitors["failure_reason"]``.
+When a step fails after its first stage, that stage's residual gate and
+record still come first, as they would stage by stage: the failure path
+replays the first stage once to get them.
 Only numerical failures end a run: floating-point errors
 (``ArithmeticError``) and ``ValueError``, which the math module and the
 scalar laws raise on non-finite values.  Program errors (``TypeError``,
@@ -51,7 +59,10 @@ import math
 import numbers
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import pairwise
+from types import FunctionType
 from typing import Optional
 
 import numpy as np
@@ -81,7 +92,6 @@ __all__ = [
     "ScenarioError",
     "simulate",
     "build_grid",
-    "rk4_step",
     "integrate_fixed",
     "export_csv",
     "export_npz",
@@ -182,7 +192,7 @@ class Scenario:
             rho = self.aux0
             if rho is None or rho == 0.0 or not math.isfinite(rho):
                 raise ScenarioError(
-                    f"theorem1 requires a finite nonzero rho_hat0, got {rho}"
+                    f"{controller} requires a finite nonzero rho_hat0, got {rho}"
                 )
             if rho * self.gains.sign_b <= 0.0:
                 raise ScenarioError(
@@ -263,42 +273,67 @@ def build_grid(horizon: float, step: float, breakpoints) -> tuple:
     return segments, n_steps
 
 
-def rk4_step(f, t0: float, t1: float, y: tuple, k1: tuple, tp1: float) -> tuple:
-    """One classical RK4 step of ``y`` from ``t0`` to ``t1``.
+# width of the state -> the generated RK4 step, compiled once per process
+_RK4_STEPS = {}
 
-    ``f(t, y, tp)`` returns a tuple whose first item is dy/dt as a tuple;
-    ``tp`` is the time at which it queries the parameter signals.  The
-    caller passes the first stage ``k1`` (it evaluates it itself, for the
-    monitors) and ``tp1``, the signal time of the last stage.
+
+def _rk4(stage, m: int):
+    """The classical RK4 step of an ``m``-wide state through ``stage``.
+
+    ``stage(inputs)`` is a pure function of ``y + (mu,) + sig`` whose
+    first output is dy/dt as a tuple.  The generated
+    ``step(y, h, h2, mu0, mu_m, mu1, sig0, sig_m, sig1)`` takes a step of
+    length ``h`` (``h2`` is its half): it calls the stage at the start,
+    twice at the midpoint and at the end, on the ``mu`` and ``sig`` of
+    each, and returns ``(y_new, first-stage outputs)``.  The arithmetic
+    is unrolled on locals in the forms ``a + h2 * b`` and
+    ``a + h * (b + 2.0 * (c + d) + e) / 6.0``.  The code is compiled once
+    per width; each call binds it to its own stage.
     """
-    h = t1 - t0
-    h2 = 0.5 * h
-    tm = t0 + h2
-    k2 = f(tm, tuple([a + h2 * b for a, b in zip(y, k1)]), tm)[0]
-    k3 = f(tm, tuple([a + h2 * b for a, b in zip(y, k2)]), tm)[0]
-    k4 = f(t1, tuple([a + h * b for a, b in zip(y, k3)]), tp1)[0]
-    return tuple([
-        a + h * (b + 2.0 * (c + d) + e) / 6.0
-        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    ])
+    step = _RK4_STEPS.get(m)
+    if step is None:
+        def names(prefix):
+            return "".join(f"{prefix}{i}, " for i in range(m))
+
+        def stage_at(h, k, mu, sig):
+            moved = "".join(f"y{i} + {h} * {k}{i}, " for i in range(m))
+            return f"stage(({moved}{mu}) + {sig})[0]"
+
+        new = "".join(f"y{i} + h * (a{i} + 2.0 * (b{i} + c{i}) + d{i}) / 6.0, "
+                      for i in range(m))
+        src = "\n".join([
+            "def step(y, h, h2, mu0, mu_m, mu1, sig0, sig_m, sig1):",
+            "    o = stage(y + (mu0,) + sig0)",
+            f"    {names('y')}= y",
+            f"    {names('a')}= o[0]",
+            f"    {names('b')}= {stage_at('h2', 'a', 'mu_m', 'sig_m')}",
+            f"    {names('c')}= {stage_at('h2', 'b', 'mu_m', 'sig_m')}",
+            f"    {names('d')}= {stage_at('h', 'c', 'mu1', 'sig1')}",
+            f"    return ({new}), o",
+        ])
+        namespace = {}
+        exec(compile(src, "<rk4 step>", "exec"), namespace)
+        step = _RK4_STEPS[m] = namespace["step"]
+    return FunctionType(step.__code__, {"stage": stage})
 
 
 def integrate_fixed(f, y0, grid):
     """Classical RK4 over an explicit node array, for plain ODE tests.
 
-    ``f(t, y)`` maps a float and a tuple to a tuple.  Takes the same steps
-    as :func:`simulate`.  Returns the array of states at the nodes.
+    ``f(t, y)`` maps a float and a tuple to a tuple.  Takes the steps of
+    :func:`simulate`, with the time in the stage's ``mu`` place and no
+    signals.  Returns the array of states at the nodes.
     """
-    def stage(t, y, tp):
-        return (f(t, y),)
-
     y = tuple(float(v) for v in y0)
+    step = _rk4(lambda inputs: (f(inputs[-1], inputs[:-1]),), len(y))
     out = np.empty((len(grid), len(y)))
     out[0] = y
     for i in range(1, len(grid)):
         t0 = float(grid[i - 1])
         t1 = float(grid[i])
-        y = rk4_step(stage, t0, t1, y, f(t0, y), t1)
+        h = t1 - t0
+        h2 = 0.5 * h
+        y = step(y, h, h2, t0, t0 + h2, t1, (), (), ())[0]
         out[i] = y
     return out
 
@@ -340,24 +375,22 @@ _SCALAR_RATES = {
 def _stage(scn: Scenario) -> tuple:
     """The run's RK4 stage and what the loop needs to know about it.
 
-    Returns ``(f, y0, aux_name, resid_tol, replays)``.  Every controller's
-    stage ``f(t, y, tp)`` returns ``(dy, u, s, kappa, resid_w, resid_psi)``;
-    the estimate is ``y[n:n+q]`` and the aux state ``AUX_STATE[controller]``,
-    if any, is ``y[-1]``, so ``y0`` is ``x0 + theta_hat0 + (aux0,)``.
-    ``resid_tol`` is None when the stage reports no factorization
-    residuals, and ``replays()`` gives ``(program_calls, program_ops)``.
+    Returns ``(build, y0, aux_name, resid_tol)``.  ``build(inputs)``
+    returns the stage, given the first stage's inputs.  Every
+    controller's stage is a pure function of one flat tuple,
+    ``y + (mu,) + theta(tp) + (b(tp),)``, returning ``(dy, u, s, kappa,
+    resid_w, resid_psi)``; the estimate is ``y[n:n+q]`` and the aux state
+    ``AUX_STATE[controller]``, if any, is ``y[-1]``, so ``y0`` is
+    ``x0 + theta_hat0 + (aux0,)``.  ``resid_tol`` is None when the stage
+    reports no factorization residuals.
 
-    A backstepping stage is one replay of the engine's closed-loop
-    program, recorded on the first stage: it maps
-    ``y + (mu,) + theta(tp) + (b(tp),)`` to the stage tuple.  A scalar
-    stage runs on plain floats through the design's rates function and
-    returns ``s = (mu*x,)``, ``kappa = nan``, no residuals and
-    ``resid_psi = 0.0``; its kernels replay no program.
+    A backstepping stage is the engine's closed-loop program, recorded at
+    those inputs, with its ``n_ops``.  A scalar stage runs on plain floats
+    through the design's rates function and returns ``s = (mu*x,)``,
+    ``kappa = nan``, no residuals and ``resid_psi = 0.0``; its kernels
+    replay no program.
     """
-    signals = _signal_reader(scn.model)
     gains = scn.gains
-    lam = gains.lam
-    exp = math.exp
     aux_name = AUX_STATE[scn.controller]
     y0 = (
         tuple(float(v) for v in scn.x0)
@@ -369,57 +402,39 @@ def _stage(scn: Scenario) -> tuple:
         engine = BacksteppingEngine(scn.model, gains)
         # looked up per run, so the module attributes stay patchable
         law = control_theorem2 if aux_name == "xi" else control_theorem1
-        program = None
-        calls = 0
-
-        def stage(t, y, tp):
-            nonlocal program, calls
-            inputs = y + (exp(lam * t) if lam != 0.0 else 1.0,) + signals(tp)
-            calls += 1
-            if program is None:
-                program = engine.closed_loop_program(law, inputs)
-            return program(inputs)
-
-        def replays():
-            return calls, 0 if program is None else program.n_ops
-
-        return stage, y0, aux_name, gains.resid_tol, replays
+        return partial(engine.closed_loop_program, law), y0, aux_name, gains.resid_tol
 
     rates = _SCALAR_RATES[scn.controller]
     regressor = scn.model.regressors[0]
-    components = range(scn.model.q)
     nan = math.nan
 
-    # kept apart from model.plant_rates, which builds a list and zips per
-    # stage for any order: routing the scalar stages through it cost about
-    # 10% of scalar-suite steps/s on a 2-core x86-64 machine
-    def plant(x, u, tp):
-        sig = signals(tp)
-        acc = sig[-1] * u
-        phi = regressor(x)
-        for c in components:
-            pc = phi[c]
-            if type(pc) is float and pc == 0.0:
-                continue
-            acc += pc * sig[c]
-        return acc
-
+    # the plant, b u + phi(x) theta, on the one parameter of a scalar
+    # design, skipping a literal zero regressor; kept apart from
+    # model.plant_rates, which builds a list and zips per stage for any
+    # order: routing the scalar stages through it cost about 10% of
+    # scalar-suite steps/s on a 2-core x86-64 machine
     if aux_name == "xi":
-        def stage(t, y, tp):
-            x, a_hat, xi = y
-            mu = exp(lam * t)
+        def stage(inputs):
+            x, a_hat, xi, mu, theta, b = inputs
             s = mu * x
             u, a_dot, xi_dot = rates(x, a_hat, mu, s, xi, gains)
-            return (plant(x, u, tp), a_dot, xi_dot), u, (s,), nan, (), 0.0
+            acc = b * u
+            phi = regressor(x)[0]
+            if type(phi) is not float or phi != 0.0:
+                acc += phi * theta
+            return (acc, a_dot, xi_dot), u, (s,), nan, (), 0.0
     else:
-        def stage(t, y, tp):
-            x, a_hat = y
-            mu = exp(lam * t)
+        def stage(inputs):
+            x, a_hat, mu, theta, b = inputs
             s = mu * x
             u, a_dot = rates(x, a_hat, mu, s, gains)
-            return (plant(x, u, tp), a_dot), u, (s,), nan, (), 0.0
+            acc = b * u
+            phi = regressor(x)[0]
+            if type(phi) is not float or phi != 0.0:
+                acc += phi * theta
+            return (acc, a_dot), u, (s,), nan, (), 0.0
 
-    return stage, y0, aux_name, None, lambda: (0, 0)
+    return (lambda inputs: stage), y0, aux_name, None
 
 
 def _energy(scn: Scenario, s, theta_hat, aux):
@@ -450,8 +465,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     ``meta["wall_s"]`` is the wall time of the call,
     ``meta["steps_per_s"]`` the accepted steps per second of it, and
     ``meta["program_calls"]`` counts the replays of the closed-loop
-    program and ``meta["program_ops"]`` is its length in operations (both
-    zero for the scalar controllers, whose kernels replay no program).
+    program, four per accepted step and one per first stage run alone
+    (the final state, or the replayed first stage of a failed step), and
+    ``meta["program_ops"]`` is its length in operations (both zero for
+    the scalar controllers, whose kernels replay no program).
     """
     started = time.perf_counter()
     scenario.validate()
@@ -460,7 +477,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         scenario.horizon, scenario.step, model.breakpoints(scenario.horizon)
     )
 
-    stage, y, aux_name, resid_tol, replays = _stage(scenario)
+    build_stage, y, aux_name, resid_tol = _stage(scenario)
+    signals = _signal_reader(model)
     n = model.n
     lam = scenario.gains.lam
     exp = math.exp
@@ -475,11 +493,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     xi_min_increment = math.inf
     xi_prev = None
     step_count = 0
+    lone_stages = 0  # first stages run outside a step
+    stage = None
 
-    def accept(t, y, tp, keep):
+    def accept(t, y, mu, out, keep):
         """The first stage at an accepted state: residual gate, then record."""
         nonlocal max_resid, status, failure_time, failure_reason
-        out = stage(t, y, tp)
         if resid_tol is not None:
             r = max(max(out[4]), out[5])
             if r > max_resid:
@@ -492,37 +511,51 @@ def simulate(scenario: Scenario) -> Trajectory:
                 )
                 raise _Abort
         if keep:
-            row = (t,) + y[:n] + (out[1],) + y[n:] + (exp(lam * t),) + out[2] + (out[3],)
+            row = (t,) + y[:n] + (out[1],) + y[n:] + (mu,) + out[2] + (out[3],)
             table.extend(row if resid_tol is None else row + (max(out[4]), out[5]))
-        return out
 
+    t0 = 0.0
     try:
+        mu0 = exp(lam * t0)
+        stage = build_stage(y + (mu0,) + signals(t0))
+        step = _rk4(stage, len(y))
         for seg in segments:
             seg_end = float(seg[-1])
-            for i in range(1, len(seg)):
-                t0 = float(seg[i - 1])
-                t1 = float(seg[i])
+            for t0, t1 in pairwise(map(float, seg)):
+                h = t1 - t0
+                h2 = 0.5 * h
+                tm = t0 + h2
                 # final stage of the last step in a segment queries the
                 # signals just inside the segment, keeping one smooth
                 # branch per step; the nudge must exceed the boundary
                 # snap tolerance of the canned square-wave signals while
                 # staying far below the integration error
-                tp1 = t1 - (t1 - t0) * 1e-6 if t1 == seg_end else t1
-
-                out = accept(t0, y, t0, step_count % every == 0)
-                y = rk4_step(stage, t0, t1, y, out[0], tp1)
+                tp1 = t1 - h * 1e-6 if t1 == seg_end else t1
+                sig0 = signals(t0)
+                keep = step_count % every == 0
+                try:
+                    mu_m = exp(lam * tm)
+                    sig_m = signals(tm)
+                    mu1 = exp(lam * t1)
+                    sig1 = signals(tp1)
+                    y_new, out = step(y, h, h2, mu0, mu_m, mu1, sig0, sig_m, sig1)
+                except _NUMERICAL:
+                    # the step failed; stage by stage, its first stage's
+                    # gate and row would have come first
+                    lone_stages += 1
+                    accept(t0, y, mu0, stage(y + (mu0,) + sig0), keep)
+                    raise
+                accept(t0, y, mu0, out, keep)
+                y = y_new
+                mu0 = mu1
                 step_count += 1
 
-                ok = True
                 for v in y:
-                    if not math.isfinite(v) or abs(v) > 1e12:
-                        ok = False
-                        break
-                if not ok:
-                    status = "diverged"
-                    failure_time = t1
-                    failure_reason = "state not finite or beyond 1e12 in magnitude"
-                    raise _Abort
+                    if not -1e12 <= v <= 1e12:  # false for NaN, too
+                        status = "diverged"
+                        failure_time = t1
+                        failure_reason = "state not finite or beyond 1e12 in magnitude"
+                        raise _Abort
 
                 if track_xi:
                     xi_new = y[-1]
@@ -533,7 +566,9 @@ def simulate(scenario: Scenario) -> Trajectory:
                     xi_prev = xi_new
         # the final accepted state, always recorded
         t0 = float(segments[-1][-1])
-        accept(t0, y, t0 - 1e-12, True)
+        mu0 = exp(lam * t0)
+        lone_stages += 1
+        accept(t0, y, mu0, stage(y + (mu0,) + signals(t0 - 1e-12)), True)
     except _Abort:
         pass
     except _NUMERICAL as exc:
@@ -561,7 +596,9 @@ def simulate(scenario: Scenario) -> Trajectory:
         "failure_reason": failure_reason,
     }
     wall = time.perf_counter() - started
-    program_calls, program_ops = replays()
+    # a stage that replays a recorded program carries its length
+    program_ops = getattr(stage, "n_ops", 0)
+    program_calls = 4 * step_count + lone_stages if program_ops else 0
     meta = {
         "horizon_s": scenario.horizon,
         "step_s": scenario.step,

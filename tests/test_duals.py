@@ -334,3 +334,76 @@ def test_near_unit_arrays_are_recorded(x, ones):
     for g, w in zip(got, (x * ones, ones * x, x / ones, ones / x)):
         assert type(g) is type(w) and np.shape(g) == np.shape(w)
         assert np.array_equal(g, w)
+
+
+def _same_bits(got, want) -> bool:
+    return type(got) is type(want) and (
+        np.asarray(got).dtype == np.asarray(want).dtype
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_chunked_replay_equals_the_tape_op_by_op():
+    from expstab.duals import _CHUNK_OPS, ReplayError, Tape, Traced, last_node, lift
+
+    tape = Tape()
+    x, y = tape.input(0.7), tape.input(-1.3)
+    a = tape.input(np.linspace(-1.0, 1.0, 5))
+    early = x * y  # a float read again in the last chunk
+    acc, arr = x, a
+    for _ in range(_CHUNK_OPS):
+        acc = acc * 0.5 + y - (-0.25)
+        arr = lift(np.sin, arr * acc) + np.float64(2.0) * a
+    outputs = (acc + early, (arr * early, -early, early ** 2), 3.0, y,
+               math.inf * x, np.arange(3.0), lift(last_node, arr))
+    prog = tape.compile(outputs)
+    assert prog.n_ops > 2 * _CHUNK_OPS
+    assert len([n for n in prog.__globals__ if n.startswith("_c")]) >= 3
+
+    def op_by_op(values):
+        regs = dict(zip(tape._inputs, values))
+        regs.update(tape._consts)
+        for fn, out, args in tape._ops:
+            regs[out] = fn(*[regs[r] for r in args])
+
+        def read(node):
+            if type(node) is tuple:
+                return tuple(read(e) for e in node)
+            return regs[node.reg] if type(node) is Traced else node
+
+        return read(outputs)
+
+    def leaves(node):
+        return [v for e in node for v in leaves(e)] if type(node) is tuple else [node]
+
+    for values in ((0.7, -1.3, np.linspace(-1.0, 1.0, 5)),
+                   (-2.5, 0.125, np.array([3.0, -0.0, 1e-300, 7.5, -4.0]))):
+        got, want = prog(values), op_by_op(values)
+        assert len(leaves(got)) == len(leaves(want)) == 9
+        for g, w in zip(leaves(got), leaves(want)):
+            assert _same_bits(g, w)
+    for wrong in ((0.7, -1.3), (0.7, -1.3, np.ones(5), 1.0), ()):
+        with pytest.raises(ReplayError, match="recorded for 3 inputs"):
+            prog(wrong)
+
+
+def test_a_value_last_read_at_a_chunk_start_outlives_the_chunk_before():
+    from expstab.duals import _CHUNK_OPS, Tape
+
+    def chain(x, y, halvings):
+        early = x * y
+        acc = x
+        for _ in range(halvings[0]):
+            acc = acc * 0.5
+        middle = acc + early  # read in the second chunk
+        for _ in range(halvings[1]):
+            acc = acc * 0.5
+        return middle, early * acc + y  # read last by the third chunk's first operation
+
+    halvings = (_CHUNK_OPS + 8, _CHUNK_OPS - 10)
+    tape = Tape()
+    x, y = tape.input(0.7), tape.input(-1.3)
+    outputs = chain(x, y, halvings)
+    prog = tape.compile(outputs)
+    assert prog.n_ops == len(tape) and tape._ops[2 * _CHUNK_OPS][2][0] == 2  # early * acc
+    for values in ((0.7, -1.3), (2.0, 0.25)):
+        assert prog(values) == chain(*values, halvings)

@@ -309,7 +309,9 @@ def test_numerical_failure_keeps_its_cause(tmp_path):
 
 def test_residual_above_tolerance_at_the_initial_state_ends_the_run(tmp_path):
     # Q = 8 leaves this plant's factorization residual near 3e-8 at x0
-    traj = simulate(scenarios.build_synthetic("theorem1", seed=2, horizon=0.01))
+    scn = scenarios.build_synthetic("theorem1", seed=2, horizon=0.01)
+    traj = simulate(dataclasses.replace(
+        scn, gains=dataclasses.replace(scn.gains, quad_nodes=8)))
     assert traj.status == "residual-exceeded" and traj.failure_time == 0.0
     assert traj.monitors["steps"] == 0 and len(traj.t) == 0
     # an empty record keeps every column's width, and the energy column
@@ -332,16 +334,25 @@ def test_residual_above_tolerance_at_the_final_state_ends_the_run(monkeypatch):
     stage_of = sim._stage
 
     def late_miss(scn):
-        stage, *rest = stage_of(scn)
-        tol = rest[2]
+        build, y0, *rest = stage_of(scn)
+        tol = rest[1]
+        # a stage reads mu = exp(lam t) after the state
+        mu_end = math.exp(scn.gains.lam * scn.horizon)
 
-        def missing(t, y, tp):
-            dy, u, s, kappa, resid_w, resid_psi = stage(t, y, tp)
-            # the last stage of the last step also runs at the horizon,
-            # but only first stages at accepted states are gated
-            return dy, u, s, kappa, resid_w, 10.0 * tol if t == scn.horizon else resid_psi
+        def recording(inputs):
+            stage = build(inputs)
 
-        return (missing, *rest)
+            def missing(inputs):
+                dy, u, s, kappa, resid_w, resid_psi = stage(inputs)
+                # the last stage of the last step also runs at the
+                # horizon, but only first stages at accepted states are
+                # gated
+                at_end = inputs[len(y0)] == mu_end
+                return dy, u, s, kappa, resid_w, 10.0 * tol if at_end else resid_psi
+
+            return missing
+
+        return (recording, y0, *rest)
 
     monkeypatch.setattr(sim, "_stage", late_miss)
     traj = simulate(scn)
@@ -493,3 +504,159 @@ def test_every_controller_records_through_one_stage(name):
     assert traj.x[0].tolist() == np.asarray(scn.x0, dtype=float).tolist()
     assert traj.theta_hat[0].tolist() == np.asarray(scn.theta_hat0, dtype=float).tolist()
     assert traj.aux[0].tolist() == ([] if scn.aux0 is None else [scn.aux0])
+
+
+@pytest.mark.parametrize("name", ["wing-rock-theorem1", "wing-rock-baseline"])
+def test_bad_rho_hat0_names_the_configured_controller(name):
+    from expstab.cli import apply_override
+
+    controller = build_named(name).controller
+    with pytest.raises(ScenarioError) as err:
+        apply_override(build_named(name), "rho_hat0", 0.0).validate()
+    assert str(err.value) == f"{controller} requires a finite nonzero rho_hat0, got 0.0"
+
+
+# -- the fused RK4 step against a plain per-stage loop ---------------------
+
+
+def _per_stage_rk4(scn):
+    """The run's rows from a plain per-stage RK4 loop.
+
+    Each stage reads mu = exp(lam t) and the signals at its own time; the
+    last stage of a segment's final step reads them a hair inside it, and
+    the final state a hair before the horizon.  Returns the columns of
+    every accepted state.
+    """
+    build, y, _, _ = sim._stage(scn)
+    model, lam = scn.model, scn.gains.lam
+
+    def inputs(t, y, tp):
+        theta = model.theta_signal(tp)
+        return (y + (math.exp(lam * t),) + tuple(float(theta[c]) for c in range(model.q))
+                + (float(model.b_signal(tp)),))
+
+    stage = build(inputs(0.0, y, 0.0))
+    rows = []
+
+    def first(t, y, tp):
+        dy, u, s, kappa, resid_w, resid_psi = stage(inputs(t, y, tp))
+        rows.append((t, y, u, math.exp(lam * t), s, kappa, resid_w, resid_psi))
+        return dy
+
+    segments, _ = build_grid(scn.horizon, scn.step, model.breakpoints(scn.horizon))
+    for seg in segments:
+        nodes = [float(v) for v in seg]
+        for t0, t1 in zip(nodes, nodes[1:]):
+            h = t1 - t0
+            h2 = 0.5 * h
+            tm = t0 + h2
+            tp1 = t1 - h * 1e-6 if t1 == nodes[-1] else t1
+            k1 = first(t0, y, t0)
+            k2 = stage(inputs(tm, tuple(a + h2 * b for a, b in zip(y, k1)), tm))[0]
+            k3 = stage(inputs(tm, tuple(a + h2 * b for a, b in zip(y, k2)), tm))[0]
+            k4 = stage(inputs(t1, tuple(a + h * b for a, b in zip(y, k3)), tp1))[0]
+            y = tuple(a + h * (b + 2.0 * (c + d) + e) / 6.0
+                      for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+    first(scn.horizon, y, scn.horizon - 1e-12)
+    return rows
+
+
+@pytest.mark.parametrize("name,horizon", [
+    ("wing-rock-theorem1", 0.05),
+    ("wing-rock-theorem2", 0.05),
+    ("wing-rock-baseline", 0.05),
+    ("scalar-A", 0.5),
+    ("scalar-B", 0.5),
+    ("scalar-C", 0.5),
+    ("wing-rock-theorem2", 1.1),  # crosses the breakpoint at pi/3
+    ("scalar-B", 2.0),
+])
+def test_simulate_matches_a_per_stage_rk4_loop(name, horizon):
+    scn = dataclasses.replace(build_named(name), horizon=horizon, record_every=1)
+    assert len(scn.model.breakpoints(horizon)) == (horizon > 1.0)
+    traj = simulate(scn)
+    rows = _per_stage_rk4(scn)
+    assert traj.completed and len(traj.t) == len(rows) == traj.monitors["steps"] + 1
+    n = scn.model.n
+    t, y, u, mu, s, kappa, resid_w, resid_psi = (list(c) for c in zip(*rows))
+    y = np.asarray(y)
+    want = {
+        "t": t, "x": y[:, :n], "u": u, "theta_hat": y[:, n:n + scn.model.q],
+        "aux": y[:, n + scn.model.q:], "mu": mu, "s": s,
+    }
+    for field, values in want.items():
+        assert np.array_equal(getattr(traj, field), np.asarray(values)), field
+    assert np.array_equal(traj.diag["kappa"], kappa, equal_nan=True)
+    if "resid_w" in traj.diag:
+        assert np.array_equal(traj.diag["resid_w"], [max(r) for r in resid_w])
+        assert np.array_equal(traj.diag["resid_psi"], resid_psi)
+    energy = sim._energy(scn, traj.s, traj.theta_hat, traj.aux)
+    assert (energy is None) == ("V" not in traj.diag)
+    if energy is not None:
+        assert np.array_equal(traj.diag["V"], energy)
+
+
+# -- the order of verdicts inside one step ---------------------------------
+
+
+def _patch_stage(monkeypatch, wrap):
+    """Route every stage of the next runs through ``wrap(stage)``."""
+    stage_of = sim._stage
+
+    def patched(scn):
+        build, *rest = stage_of(scn)
+        return (lambda inputs: wrap(build(inputs)), *rest)
+
+    monkeypatch.setattr(sim, "_stage", patched)
+
+
+def test_first_stage_residual_is_gated_before_a_later_stage_fails(monkeypatch):
+    scn = build_wing_rock("theorem1", horizon=0.01)
+    lam, tol, m, k = scn.gains.lam, scn.gains.resid_tol, 5, 30
+    (seg,), _ = build_grid(scn.horizon, scn.step, scn.model.breakpoints(scn.horizon))
+    nodes = seg.tolist()
+    t_k = nodes[k]
+    mu_first = math.exp(lam * t_k)
+    mu_mid = math.exp(lam * (t_k + 0.5 * (nodes[k + 1] - t_k)))
+
+    def wrap(stage):
+        def gated(inputs):
+            mu = inputs[m]
+            if mu == mu_mid:
+                raise ValueError("a later stage fails")
+            out = stage(inputs)
+            return out[:5] + (10.0 * tol,) if mu == mu_first else out
+        return gated
+
+    _patch_stage(monkeypatch, wrap)
+    traj = simulate(scn)
+    assert traj.status == "residual-exceeded" and traj.failure_time == t_k
+    assert traj.monitors["steps"] == len(traj.t) == k
+    assert traj.monitors["failure_reason"] == (
+        f"factorization residual {10.0 * tol:.3e} > tolerance {tol:g}")
+
+
+def test_overflow_in_a_third_stage_keeps_the_step_start_row(monkeypatch):
+    from expstab.nussbaum import NussbaumOverflowError
+
+    scn = build_wing_rock("theorem2", horizon=0.01)
+    clean = simulate(scn)
+    k = 30
+    calls = []
+
+    def wrap(stage):
+        def overflowing(inputs):
+            calls.append(None)
+            if len(calls) == 4 * k + 3:  # the third stage of step k
+                raise NussbaumOverflowError("xi beyond the safe range")
+            return stage(inputs)
+        return overflowing
+
+    _patch_stage(monkeypatch, wrap)
+    traj = simulate(scn)
+    assert traj.status == "overflow"
+    assert traj.failure_time == clean.t[k] and traj.t[-1] == clean.t[k]
+    assert traj.monitors["steps"] == k and len(traj.t) == k + 1
+    assert traj.monitors["failure_reason"] == "NussbaumOverflowError: xi beyond the safe range"
+    for name in ("t", "x", "u", "theta_hat", "aux", "mu", "s"):
+        assert np.array_equal(getattr(traj, name), getattr(clean, name)[:k + 1]), name
