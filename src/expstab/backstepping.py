@@ -55,6 +55,7 @@ diagnostics included.  Each recording compiles exactly one program.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -112,12 +113,14 @@ def _plain(v) -> float:
     return to_float(v)
 
 
+def _node_sum(weights, v) -> float:
+    # integral over sigma of a payload with one (node) axis
+    return float(weights @ v)
+
+
 def _weighted_sum(weights, obj):
-    # integral over sigma: weighted sum along the leading node axis
-    if obj.ndim == 1:
-        return float(weights @ obj)
-    if obj.ndim == 2:
-        return weights @ obj
+    # integral over sigma of a payload with three or more axes: weighted
+    # sum along the leading node axis
     flat = weights @ obj.reshape(obj.shape[0], -1)
     return flat.reshape(obj.shape[1:])
 
@@ -373,6 +376,13 @@ class BacksteppingEngine:
                 tuple([self._contract(e) for e in obj.eps]),
             )
         if _is_array(obj):
+            # recorded as the reduction for the payload's ndim, so that no
+            # replay branches on it
+            ndim = obj.ndim
+            if ndim == 1:
+                return lift(_node_sum, self._weights, obj)
+            if ndim == 2:
+                return lift(operator.matmul, self._weights, obj)
             return lift(_weighted_sum, self._weights, obj)
         return obj
 

@@ -52,10 +52,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 import weakref
 
 import numpy as np
+
+from .codegen import _ELEMENTWISE, ReplayError, generate, last_node
 
 __all__ = [
     "Dual",
@@ -444,22 +445,18 @@ def to_float(v):
     return float(v)
 
 
-def last_node(v) -> float:
-    """``float(v[-1])``: a node-batched array's entry at its last node.
-
-    A recorded read of an elementwise expression whose leaves are all
-    float scalars or constants costs no array operation: :meth:`Tape.call`
-    records it as the same expression on the leaves' last entries.
-    """
-    return float(v[-1])
-
-
 def _exact_float(t) -> bool:
     # payloads that multiplying by 1.0 returns bit for bit, type included
     v = t.v
     return type(v) is float or type(v) is np.float64 or (
         type(v) is np.ndarray and v.dtype == np.float64
     )
+
+
+def _vector(v) -> bool:
+    """True for a 1-d float64 array of at least one entry."""
+    return type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64 \
+        and v.shape[0] > 0
 
 
 def _unit_array(c, x) -> bool:
@@ -503,52 +500,6 @@ def _const_last(c):
     return None
 
 
-class ReplayError(RuntimeError):
-    """A program was replayed on inputs that do not match its recording."""
-
-
-# infix forms of the recorded operators; every other function is called
-_INFIX = {
-    operator.add: "{} + {}",
-    operator.sub: "{} - {}",
-    operator.mul: "{} * {}",
-    operator.truediv: "{} / {}",
-    operator.pow: "{} ** {}",
-    operator.matmul: "{} @ {}",
-    operator.neg: "-{}",
-}
-
-# operations whose entry at one node is the same operation on the operands'
-# entries there, bit for bit and with the same overflow and NaN results on
-# Python floats (float division and powers raise where arrays do not)
-_ELEMENTWISE = frozenset([operator.add, operator.sub, operator.mul, operator.neg])
-
-# generated functions stay this short, so compiling a large program costs
-# time and memory in proportion to its length
-_CHUNK_OPS = 200
-
-
-# every identifier of a generated program, kept interned for the life of
-# the process: names interned when a program is compiled and released with
-# it churn the interpreter's table of interned strings until it doubles in
-# size (about 1 MB more memory after some 250 wing-rock runs)
-_IDENTIFIERS = set()
-
-
-def _flatten(node, reg_of, out: list) -> None:
-    if type(node) is tuple or type(node) is list:
-        for e in node:
-            _flatten(e, reg_of, out)
-    else:
-        out.append(reg_of(node))
-
-
-def _render(node, ref) -> str:
-    if type(node) is tuple or type(node) is list:
-        return "(" + "".join(_render(e, ref) + ", " for e in node) + ")"
-    return ref(node)
-
-
 class Tape:
     """The leaf operations of one recorded pass, in execution order.
 
@@ -572,6 +523,7 @@ class Tape:
         self._memo = {}  # (fn, *argument registers) -> (register, weakref)
         self._elementwise = {}  # register -> (fn, argument registers)
         self._scalars = {}  # register -> value, for float scalar registers
+        self._lengths = {}  # register -> length, for 1-d float64 registers
         self._nreg = 0
 
     def input(self, value) -> Traced:
@@ -580,6 +532,8 @@ class Tape:
         self._inputs.append(t.reg)
         if type(value) is float or type(value) is np.float64:
             self._scalars[t.reg] = value
+        elif _vector(value):
+            self._lengths[t.reg] = len(value)
         return t
 
     def _const(self, value) -> int:
@@ -676,6 +630,8 @@ class Tape:
                 self._elementwise[out.reg] = (fn, regs)
         if type(v) is float or type(v) is np.float64:
             self._scalars[out.reg] = v
+        elif _vector(v):
+            self._lengths[out.reg] = len(v)
         self._memo[key] = (out.reg, weakref.ref(out))
         return out
 
@@ -739,147 +695,6 @@ class Tape:
         kept, and a register is reused as soon as its last reader has run,
         so a replay holds no more intermediate arrays at once than the
         live set requires.  Calls share no state, so one program may serve
-        concurrent callers.
-
-        The operations run in generated functions of at most
-        ``_CHUNK_OPS`` each, ``_c0`` first, on Python locals: one local per
-        register slot, so reusing a slot frees its value.  A value crosses
-        from one chunk to a later one through a shared list, and only such
-        values do; the list lets go of it in the chunk that reads it last.
-        Float and int constants are literals, and every other constant and
-        function is a global of the generated code.  A program of one
-        chunk is ``_c0`` itself; a longer one calls its chunks in order.
+        concurrent callers.  :func:`expstab.codegen.generate` writes it.
         """
-        reg_of = self._reg_of
-        consts = self._consts
-        out_regs = []
-        _flatten(outputs, reg_of, out_regs)
-        used = set(out_regs)
-        order = []
-        for op in reversed(self._ops):
-            if op[1] in used:
-                order.append(op)
-                used.update(op[2])
-        order.reverse()
-        n_inputs = len(self._inputs)
-        slot = {reg: i for i, reg in enumerate(self._inputs)}
-        last_use = {}
-        for i, (_, _, args) in enumerate(order):
-            for a in args:
-                last_use[a] = i
-        for reg in out_regs:
-            last_use[reg] = len(order)
-
-        namespace = {"ReplayError": ReplayError}
-        names = {}  # constant register or function -> its name in the code
-
-        def operand(reg):
-            """A constant's source text, or the register itself."""
-            if reg not in consts:
-                return reg
-            got = names.get(reg)
-            if got is None:
-                v = consts[reg]
-                if (type(v) is float and math.isfinite(v)) or type(v) is int:
-                    got = repr(v)  # exact for a finite float
-                    if got.startswith("-"):
-                        got = f"({got})"
-                else:
-                    got = f"k{len(namespace)}"
-                    namespace[got] = v
-                names[reg] = got
-            return got
-
-        # allocate slots: the inputs lead, and a freed slot is reused first
-        ops = []  # (out register, out slot, function, operands)
-        free = []
-        n_slots = n_inputs
-        for i, (fn, out, args) in enumerate(order):
-            operands = [operand(a) for a in args]
-            for a in set(args):
-                if last_use[a] == i and a not in consts and slot[a] >= n_inputs:
-                    free.append(slot[a])
-            if free:
-                slot[out] = free.pop()
-            else:
-                slot[out] = n_slots
-                n_slots += 1
-            ops.append((out, slot[out], fn, operands))
-
-        starts = range(0, max(len(ops), 1), _CHUNK_OPS)
-        src = []
-        for lo in starts:
-            hi = lo + _CHUNK_OPS
-            # slot -> the register its local holds, for the slots this
-            # chunk assigns (the inputs, in the first chunk)
-            held = dict(enumerate(self._inputs)) if lo == 0 else {}
-            loaded = {}  # slot -> register, for values from an earlier chunk
-
-            def ref(a):
-                if type(a) is str:
-                    return a
-                s = slot[a]
-                if s not in held:
-                    loaded[s] = a
-                return f"v{s}"
-
-            body = []
-            for out, s, fn, operands in ops[lo:hi]:
-                refs = [ref(a) for a in operands]
-                form = _INFIX.get(fn)
-                if form is not None:
-                    expr = form.format(*refs)
-                else:
-                    name = names.get(fn)
-                    if name is None:
-                        name = names[fn] = f"f{len(namespace)}"
-                        namespace[name] = fn
-                    expr = f"{name}({', '.join(refs)})"
-                body.append(f"    v{s} = {expr}")
-                held[s] = out
-            if hi >= len(ops):
-                result = _render(outputs, lambda node: ref(operand(reg_of(node))))
-                body.append(f"    return {result}")
-            else:
-                # the values a later chunk reads go through the shared list
-                body += [f"    r[{s}] = v{s}" for s, reg in held.items()
-                         if last_use.get(reg, -1) >= hi]
-            if lo == 0:
-                targets = "".join(f"v{s}, " for s in range(n_inputs)) or "()"
-                head = [
-                    "def _c0(inputs):",
-                    "    try:",
-                    f"        {targets} = inputs",
-                    "    except ValueError:",
-                    "        raise ReplayError(",
-                    f"            f'program recorded for {n_inputs} inputs, "
-                    "got {len(inputs)}') from None",
-                ]
-                if hi < len(ops):
-                    head.append(f"    r = [None] * {n_slots}")
-                    body.append("    return r")
-            else:
-                head = [f"def _c{lo}(r):"]
-            for s, reg in loaded.items():
-                head.append(f"    v{s} = r[{s}]")
-                if last_use[reg] < hi:
-                    # read for the last time here: the list lets go of it,
-                    # so a reused slot frees its value as before
-                    head.append(f"    r[{s}] = None")
-            src.append("\n".join(head + body) + "\n")
-        if len(starts) > 1:
-            src.append(
-                "def program(inputs):\n"
-                "    r = _c0(inputs)\n"
-                + "".join(f"    _c{lo}(r)\n" for lo in starts[1:-1])
-                + f"    return _c{starts[-1]}(r)\n"
-            )
-        _IDENTIFIERS.update(map(sys.intern, [
-            *namespace, *(f"v{s}" for s in range(n_slots)), *(f"_c{lo}" for lo in starts)]))
-        for part in src:  # one function at a time bounds the compiler's memory
-            exec(compile(part, "<recorded program>", "exec"), namespace)
-        # the namespace keeps the chunks the entry calls by name, but not
-        # the entry: a program of one chunk is freed without the collector
-        program = namespace.pop("program" if len(starts) > 1 else "_c0")
-        program.n_ops = len(order)
-        return program
+        return generate(self, outputs)

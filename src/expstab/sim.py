@@ -450,12 +450,26 @@ def _energy(scn: Scenario, s, theta_hat, aux):
         return None
     if AUX_STATE[scn.controller] != "rho_hat":
         return None
-    err = np.asarray(scn.bounds.ell_theta_hint, dtype=float) - theta_hat
+    ell = np.asarray(scn.bounds.ell_theta_hint, dtype=float)
     gamma_inv = np.linalg.inv(np.asarray(scn.gains.Gamma, dtype=float))
-    V = 0.5 * np.sum(s * s, axis=1) + 0.5 * np.sum(err @ gamma_inv.T * err, axis=1)
+    # column by column into a few row vectors: (rows, q) temporaries set
+    # the peak memory of a long run
+    V, quad, row, col = (np.zeros(len(s)) for _ in range(4))
+    for j in range(s.shape[1]):
+        V += np.multiply(s[:, j], s[:, j], out=col)
+    for i in range(len(ell)):
+        row[:] = 0.0
+        for j in range(len(ell)):  # entry i of (ell - theta_hat) Gamma^-T, per row
+            np.subtract(ell[j], theta_hat[:, j], out=col)
+            row += np.multiply(col, gamma_inv[i, j], out=col)
+        quad += np.multiply(row, np.subtract(ell[i], theta_hat[:, i], out=col), out=row)
+    V *= 0.5
+    V += np.multiply(quad, 0.5, out=quad)
     ell_b = scn.bounds.ell_b_hint
     if ell_b is not None:
-        V += abs(ell_b) / (2.0 * scn.gains.gamma_rho) * (1.0 / ell_b - aux[:, 0]) ** 2
+        np.subtract(1.0 / ell_b, aux[:, 0], out=col)
+        col *= col
+        V += np.multiply(col, abs(ell_b) / (2.0 * scn.gains.gamma_rho), out=col)
     return V
 
 

@@ -1,12 +1,20 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expstab import codegen
 from expstab.duals import (
     Dual,
+    Tape,
+    Traced,
     cos,
     exp,
+    last_node,
+    lift,
     seed,
     sin,
     value_and_gradient,
@@ -342,42 +350,45 @@ def _same_bits(got, want) -> bool:
         and np.asarray(got).tobytes() == np.asarray(want).tobytes())
 
 
+def _op_by_op(tape, outputs, values):
+    """``outputs`` at ``values``, running the tape's operations one by one."""
+    regs = dict(zip(tape._inputs, values))
+    regs.update(tape._consts)
+    for fn, out, args in tape._ops:
+        regs[out] = fn(*[regs[r] for r in args])
+
+    def read(node):
+        if type(node) is tuple:
+            return tuple(read(e) for e in node)
+        return regs[node.reg] if type(node) is Traced else node
+
+    return read(outputs)
+
+
 def test_chunked_replay_equals_the_tape_op_by_op():
-    from expstab.duals import _CHUNK_OPS, ReplayError, Tape, Traced, last_node, lift
+    from expstab.codegen import _CHUNK_STATEMENTS
+    from expstab.duals import ReplayError
 
     tape = Tape()
     x, y = tape.input(0.7), tape.input(-1.3)
     a = tape.input(np.linspace(-1.0, 1.0, 5))
     early = x * y  # a float read again in the last chunk
     acc, arr = x, a
-    for _ in range(_CHUNK_OPS):
+    for _ in range(_CHUNK_STATEMENTS):
         acc = acc * 0.5 + y - (-0.25)
         arr = lift(np.sin, arr * acc) + np.float64(2.0) * a
     outputs = (acc + early, (arr * early, -early, early ** 2), 3.0, y,
                math.inf * x, np.arange(3.0), lift(last_node, arr))
     prog = tape.compile(outputs)
-    assert prog.n_ops > 2 * _CHUNK_OPS
+    assert prog.n_ops > 2 * _CHUNK_STATEMENTS
     assert len([n for n in prog.__globals__ if n.startswith("_c")]) >= 3
-
-    def op_by_op(values):
-        regs = dict(zip(tape._inputs, values))
-        regs.update(tape._consts)
-        for fn, out, args in tape._ops:
-            regs[out] = fn(*[regs[r] for r in args])
-
-        def read(node):
-            if type(node) is tuple:
-                return tuple(read(e) for e in node)
-            return regs[node.reg] if type(node) is Traced else node
-
-        return read(outputs)
 
     def leaves(node):
         return [v for e in node for v in leaves(e)] if type(node) is tuple else [node]
 
     for values in ((0.7, -1.3, np.linspace(-1.0, 1.0, 5)),
                    (-2.5, 0.125, np.array([3.0, -0.0, 1e-300, 7.5, -4.0]))):
-        got, want = prog(values), op_by_op(values)
+        got, want = prog(values), _op_by_op(tape, outputs, values)
         assert len(leaves(got)) == len(leaves(want)) == 9
         for g, w in zip(leaves(got), leaves(want)):
             assert _same_bits(g, w)
@@ -387,7 +398,7 @@ def test_chunked_replay_equals_the_tape_op_by_op():
 
 
 def test_a_value_last_read_at_a_chunk_start_outlives_the_chunk_before():
-    from expstab.duals import _CHUNK_OPS, Tape
+    from expstab.codegen import _CHUNK_STATEMENTS
 
     def chain(x, y, halvings):
         early = x * y
@@ -399,11 +410,111 @@ def test_a_value_last_read_at_a_chunk_start_outlives_the_chunk_before():
             acc = acc * 0.5
         return middle, early * acc + y  # read last by the third chunk's first operation
 
-    halvings = (_CHUNK_OPS + 8, _CHUNK_OPS - 10)
+    halvings = (_CHUNK_STATEMENTS + 8, _CHUNK_STATEMENTS - 10)
     tape = Tape()
     x, y = tape.input(0.7), tape.input(-1.3)
     outputs = chain(x, y, halvings)
     prog = tape.compile(outputs)
-    assert prog.n_ops == len(tape) and tape._ops[2 * _CHUNK_OPS][2][0] == 2  # early * acc
+    assert prog.n_ops == len(tape) and tape._ops[2 * _CHUNK_STATEMENTS][2][0] == 2  # early * acc
     for values in ((0.7, -1.3), (2.0, 0.25)):
         assert prog(values) == chain(*values, halvings)
+
+
+# -- unrolled node arrays ---------------------------------------------------------
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e300, math.inf, -math.inf, math.nan])
+_VALUE = st.one_of(_SPECIAL, st.floats(-1e3, 1e3))
+_BINARY = ("add", "sub", "mul")
+
+
+def _total(v) -> float:
+    # a numpy reduction that returns a Python float
+    return float(np.sum(v))
+
+
+def _apply(step, pool, consts):
+    """One step of a drawn program on values that may be traced."""
+    kind, i, j, c = step
+    a, b, k = pool[i % len(pool)], pool[j % len(pool)], consts[c % len(consts)]
+    arrays = [v for v in pool if np.ndim(v) == 1]
+    if kind in _BINARY:
+        return getattr(operator, kind)(a, b)
+    if kind == "const":  # a constant on either side, as the recursion writes it
+        return getattr(operator, _BINARY[c % 3])(*((a, k) if j % 2 else (k, a)))
+    if kind == "neg":
+        return -a
+    if not arrays:
+        return a * k
+    v = arrays[i % len(arrays)]
+    if kind == "cumsum":  # a numpy operation from an array to an array
+        return lift(np.cumsum, v)
+    if kind == "total":
+        return lift(_total, v)
+    return lift(last_node, v)
+
+
+@st.composite
+def _programs(draw):
+    """A program of elementwise steps and numpy calls on node arrays.
+
+    Returns the entry count, the drawn constants, the steps, which pool
+    values are outputs, and a recording and a replay point.
+    """
+    n = draw(st.sampled_from([1, 2, 9, codegen._UNROLL, codegen._UNROLL + 1]))
+    consts = draw(st.lists(st.one_of(
+        _VALUE,
+        st.builds(np.float64, _VALUE),
+        st.builds(lambda v: np.array([v]), _VALUE),
+        st.builds(np.array, _VALUE),
+        st.lists(_VALUE, min_size=n, max_size=n).map(np.array),
+    ), min_size=1, max_size=6))
+    kinds = st.sampled_from(_BINARY + ("const", "neg", "cumsum", "total", "last"))
+    big = st.integers(0, 10**6)
+    steps = draw(st.lists(st.tuples(kinds, big, big, big), min_size=1, max_size=60))
+    keep = draw(st.lists(st.booleans(), min_size=len(steps) + 4, max_size=len(steps) + 4))
+
+    def point():
+        return (draw(_VALUE), draw(_VALUE), np.array(draw(st.lists(_VALUE, min_size=n, max_size=n))))
+
+    return n, consts, steps, keep, point(), point()
+
+
+def _same_values(got, want) -> bool:
+    """Same type, dtype and shape, and bit-identical but for NaN payloads.
+
+    Where two NaNs meet, numpy's loops and Python floats may keep either
+    one (IEEE leaves the choice open), so a NaN only has to be a NaN.
+    """
+    g, w = np.asarray(got), np.asarray(want)
+    if type(got) is not type(want) or g.dtype != w.dtype or g.shape != w.shape:
+        return False
+    nan = np.isnan(w)
+    return bool(np.array_equal(np.isnan(g), nan)) and g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def _run(n, consts, steps, keep, x, y, a):
+    """A drawn program's outputs: the last value, and the kept ones."""
+    pool = [x, y, a, a * np.linspace(0.5, 1.0, n)]  # an array input and result
+    for step in steps:
+        pool.append(_apply(step, pool, consts))
+    return tuple(v for v, k in zip(pool, keep) if k) + (pool[-1],)
+
+
+@settings(max_examples=150)
+@given(program=_programs(), chunk=st.sampled_from([16, 64, codegen._CHUNK_STATEMENTS]))
+def test_unrolled_replay_equals_the_tape_op_by_op(program, chunk):
+    n, consts, steps, keep, at, replay_at = program
+    saved = codegen._CHUNK_STATEMENTS
+    codegen._CHUNK_STATEMENTS = chunk  # chunk boundaries inside short programs too
+    try:
+        tape = Tape()
+        with np.errstate(all="ignore"):
+            outputs = _run(n, consts, steps, keep, *[tape.input(v) for v in at])
+            prog = tape.compile(outputs)
+            for values in (at, replay_at):
+                got, want = prog(values), _op_by_op(tape, outputs, values)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert _same_values(g, w), (g, w)
+    finally:
+        codegen._CHUNK_STATEMENTS = saved

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expstab import GainConfig, SystemModel
-from expstab import duals
+from expstab import codegen, duals
 from expstab.backstepping import (
     _FULL_FIELDS,
     BacksteppingEngine,
@@ -224,15 +225,89 @@ def test_zero_folds_keep_programs_small(engines, n):
     assert engine._programs[None].n_ops <= _ZERO_TESTED_OPS[n]
 
 
-def test_order4_program_is_compiled_in_bounded_chunks(engines):
-    engine = engines[4]
+def test_order4_program_is_compiled_in_bounded_chunks(monkeypatch):
+    sources = []
+
+    def kept(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(codegen, "compile", kept, raising=False)
+    engine = _order4()
     ev = engine.evaluate(0.2, (0.4, -0.3, 0.5, 0.2), (0.1, 0.2))
     assert math.isfinite(ev.kappa) and ev.max_residual() <= 1e-8
     program = engine._programs[None]
     assert program.n_ops > 5000
-    # one generated function per bounded run of operations, never one huge one
-    chunks = [name for name in program.__globals__ if name.startswith("_c")]
-    assert len(chunks) >= program.n_ops / duals._CHUNK_OPS
+    # one generated function per bounded run of statements, never one huge
+    # one: a statement assigns locals; loads from and stores to the shared
+    # list and the first chunk's input unpacking do not count
+    chunks = [src for src in sources if src.startswith("def _c")]
+    assert len(chunks) == len([n for n in program.__globals__ if n.startswith("_c")])
+    counts = [len([line for line in src.splitlines()
+                   if re.match(r"    v\d+[ ,]", line) and not re.search(r"= r\[\d+\]$", line)])
+              for src in chunks]
+    assert max(counts) <= codegen._CHUNK_STATEMENTS
+    assert sum(counts) > 2 * program.n_ops  # the node arrays are unrolled
+
+
+def _residuals(ev):
+    """|w_i - W_i^T zbar_i| per layer and |psi - psi_bar^T z|, with numpy."""
+    z = np.array(ev.z)
+    resid_w = [np.linalg.norm(np.array(w) - np.array(W).T @ z[:len(W)])
+               for w, W in zip(ev.w, ev.W)]
+    return resid_w, abs(ev.psi - np.array(ev.psi_bar) @ z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_residuals_are_those_of_the_factors(engines, n, data):
+    # w = W^T z and psi = psi_bar^T z, checked from evaluate's factors with
+    # numpy, apart from the program's own arithmetic
+    engine = engines[n]
+    x = data.draw(st.lists(_coord, min_size=n, max_size=n))
+    th = data.draw(st.lists(_estimate, min_size=engine.q, max_size=engine.q))
+    ev = engine.evaluate(0.3, x, th, mu=data.draw(_mu))
+    resid_w, resid_psi = _residuals(ev)
+    z = np.abs(ev.z)
+    for got, want, w, W in zip(ev.resid_w, resid_w, ev.w, ev.W):
+        scale = np.max(np.abs(w)) + np.max(np.abs(W).T @ z[:len(W)])
+        assert abs(got - want) <= 1e-14 * scale
+    scale = abs(ev.psi) + np.abs(ev.psi_bar) @ z
+    assert abs(ev.resid_psi - resid_psi) <= 1e-14 * scale
+    # The factors are exact to 1e-8 on this box only at orders 1 and 2.
+    # The fixed rules miss at |x| near 1: resid_psi reads 5.7e-5 at order
+    # 3 (8 nodes, x = (1, 0, 0)) and up to 1e25 at order 4 (12 nodes);
+    # choosing the node count per engine is ROADMAP item 8.
+    if n <= 2:
+        assert max(resid_w) <= 1e-8 and resid_psi <= 1e-8
+
+
+def test_compiling_the_order3_loop_stays_small_in_memory(monkeypatch):
+    # unrolled node arrays make the order-3 program about six times as many
+    # statements; compiling them chunk by chunk on reused locals keeps the
+    # compiler's peak where it was (1.16 MiB for the same program as numpy
+    # calls in 200-operation chunks; 7.4 MiB with one local per value in
+    # one function)
+    peaks = []
+    real = duals.Tape.compile
+
+    def traced(tape, outputs):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            program = real(tape, outputs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return program
+
+    monkeypatch.setattr(duals.Tape, "compile", traced)
+    syn = build_synthetic("theorem1", seed=0)
+    program = BacksteppingEngine(syn.model, syn.gains).closed_loop_program(
+        control_theorem1, (0.3, -0.2, 0.4, 0.1, 0.0, -0.5, 1.2, 0.1, -0.1, -1.0))
+    assert program.n_ops == 903 and len(peaks) == 1
+    assert peaks[0] < 2 * 2**20
 
 
 # -- the closed-loop program ----------------------------------------------------
