@@ -41,7 +41,7 @@ from .backstepping import GainConfig
 from .nussbaum import NussbaumSpec, verify_enhanced
 from .scalar import ScalarGains
 from .scenarios import build_named, scenario_names
-from .sim import AUX_STATE, ScenarioError, Trajectory, export_csv, simulate
+from .sim import AUX_STATE, ScenarioError, Trajectory, export_csv, export_csvs, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,8 +289,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(scn)
-    export_csv(traj, out_dir / "trajectory.csv")
-    export_csv(traj, out_dir / "diagnostics.csv", columns=["t"] + sorted(traj.diag))
+    export_csvs(traj, [(out_dir / "trajectory.csv", None),
+                       (out_dir / "diagnostics.csv", ["t"] + sorted(traj.diag))])
     fails = _write_report(traj, out_dir, args.quiet)
     if not traj.completed:
         print(

@@ -59,7 +59,7 @@ def snapshot(cache: AcceptanceCache) -> dict:
             "rows": picked,
             "columns": {
                 name: _floats(np.asarray(col)[picked])
-                for name, col in zip(tr.column_names(), tr.column_data())
+                for name, col in tr.columns().items()
             },
         }
     if not cache.draws:

@@ -17,7 +17,7 @@ from expstab.cli import (
     main,
     parse_config_file,
 )
-from expstab.sim import load_csv
+from expstab.sim import export_csv, load_csv
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -41,6 +41,26 @@ def test_run_writes_artifacts(tmp_path):
     # the scalar kernels replay no recorded program
     timing = next(line for line in report.splitlines() if line.startswith("timing:"))
     assert timing.endswith(" steps/s, 0 program calls of 0 ops")
+
+
+def test_run_writes_the_files_export_csv_writes(tmp_path, monkeypatch):
+    runs = []
+
+    def recorded(scn):
+        runs.append(cli_simulate(scn))
+        return runs[-1]
+
+    cli_simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", recorded)
+    out = tmp_path / "run"
+    rc = main(["run", "--scenario", "wing-rock-theorem1", "--horizon", "0.05",
+               "--out", str(out), "--quiet"])
+    assert rc == EXIT_OK
+    [traj] = runs
+    export_csv(traj, tmp_path / "trajectory.csv")
+    export_csv(traj, tmp_path / "diagnostics.csv", columns=["t"] + sorted(traj.diag))
+    for name in ("trajectory.csv", "diagnostics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_run_with_override_reproduces_baseline(tmp_path):

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from expstab.sim import (
     ScenarioError,
     build_grid,
     export_csv,
+    export_csvs,
     export_npz,
     integrate_fixed,
     load_csv,
@@ -192,16 +195,15 @@ def test_csv_round_trip_exact(tmp_path, short_run):
     path = tmp_path / "traj.csv"
     export_csv(short_run, path)
     data = load_csv(path)
-    names = short_run.column_names()
-    cols = short_run.column_data()
-    assert list(data.keys()) == names
-    for name, col in zip(names, cols):
+    cols = short_run.columns()
+    assert list(data.keys()) == list(cols)
+    for name, col in cols.items():
         assert np.array_equal(data[name], col), name
 
 
 def test_csv_column_count_schema(short_run):
     # t + x(n) + u + estimates(q) + aux + mu + diagnostics(n for s, rest)
-    names = short_run.column_names()
+    names = list(short_run.columns())
     n, q = 2, 2
     n_diag = n + len(short_run.diag)
     assert len(names) == 1 + n + 1 + q + 1 + 1 + n_diag
@@ -280,6 +282,101 @@ def test_empty_trajectory_exports_header_only(tmp_path, short_run):
     assert lines[0].split(",")[0] == "t"
     data = load_csv(path)
     assert all(len(col) == 0 for col in data.values())
+
+
+def _csv_writer_export(traj, path, columns=None):
+    """The row-by-row ``csv.writer`` export the streaming writer replaced."""
+    data = traj.columns()
+    names = list(data) if columns is None else columns
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(zip(*[np.asarray(data[n], dtype=float).tolist() for n in names]))
+
+
+_AWKWARD = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1e308, 2.5]
+
+
+def _table_of(traj, rows: int):
+    """``traj`` with ``rows`` rows, each column cycling through awkward floats."""
+    def col(k):
+        return np.resize(np.roll(_AWKWARD, k), rows)
+
+    def cols(k, m):
+        return np.column_stack([col(k + j) for j in range(m)]).reshape(rows, m)
+
+    return dataclasses.replace(
+        traj,
+        t=5e-324 + np.arange(rows) * (0.1 + 0.2),
+        x=cols(1, 2), u=col(3), theta_hat=cols(4, 2), aux=cols(6, 1), mu=col(7),
+        s=cols(8, 2), diag={k: col(10 + i) for i, k in enumerate(sorted(traj.diag))},
+    )
+
+
+_B = sim._CSV_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_csv_bytes_equal_the_csv_module_export(tmp_path, short_run, rows):
+    traj = _table_of(short_run, rows)
+    subset = ["resid_psi", "t", "u", "rho_hat", "x_2"]
+    for columns in (None, subset):
+        _csv_writer_export(traj, tmp_path / "ref.csv", columns)
+        export_csv(traj, tmp_path / "new.csv", columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # both at once, as ``expstab run`` writes them
+    export_csvs(traj, [(tmp_path / "all.csv", None), (tmp_path / "sub.csv", subset)])
+    _csv_writer_export(traj, tmp_path / "ref-all.csv")
+    assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "ref-all.csv").read_bytes()
+    assert (tmp_path / "sub.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_export_memory_does_not_grow_with_the_rows(tmp_path, short_run):
+    rows = 20_000
+    reps = -(-rows // len(short_run.t))
+
+    def tiled(a):
+        return np.ascontiguousarray(np.concatenate([a] * reps)[:rows])
+
+    long = dataclasses.replace(
+        short_run,
+        t=np.arange(rows) * 1e-4,
+        x=tiled(short_run.x), u=tiled(short_run.u), theta_hat=tiled(short_run.theta_hat),
+        aux=tiled(short_run.aux), mu=tiled(short_run.mu), s=tiled(short_run.s),
+        diag={k: tiled(v) for k, v in short_run.diag.items()},
+    )
+    tracemalloc.start()
+    try:
+        export_csvs(long, [(tmp_path / "traj.csv", None),
+                           (tmp_path / "diag.csv", ["t"] + sorted(long.diag))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole table as floats is 2.2 MiB; a block of formatted rows is ~0.15 MiB
+    assert peak < 0.5 * 2**20
+    assert len(load_csv(tmp_path / "diag.csv")["t"]) == rows
+
+
+def test_csv_unknown_column_names_it_and_creates_no_file(tmp_path, short_run):
+    path = tmp_path / "diag.csv"
+    with pytest.raises(ValueError, match="no column 'nope'; the columns are t, x_1, x_2, u,"):
+        export_csv(short_run, path, columns=["t", "nope"])
+    assert not path.exists()
+
+
+def test_csv_checks_every_target_before_truncating_any(tmp_path, short_run):
+    first = tmp_path / "trajectory.csv"
+    first.write_text("kept")
+    with pytest.raises(ValueError, match=r"diag\.csv: no column 'resid'"):
+        export_csvs(short_run, [(first, None), (tmp_path / "diag.csv", ["t", "resid"])])
+    assert first.read_text() == "kept"
+    assert not (tmp_path / "diag.csv").exists()
+
+
+def test_csv_empty_column_selection_is_rejected(tmp_path, short_run):
+    with pytest.raises(ValueError, match="no columns selected"):
+        export_csv(short_run, tmp_path / "none.csv", columns=[])
+    assert not (tmp_path / "none.csv").exists()
 
 
 # -- failure causes -----------------------------------------------------------
