@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .scalar import ScalarGains, ScalarState, scalar_A_law, scalar_B_law
 from .scenarios import build_scalar, build_synthetic, build_wing_rock, wing_rock_model
 from .sim import Trajectory, simulate
 
-__all__ = ["CriterionResult", "AcceptanceCache", "CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "RUNS", "AcceptanceCache", "CRITERIA", "run_all"]
 
 
 @dataclass
@@ -43,9 +43,22 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.number}: {self.name} -- {self.details}"
 
 
+# the shared closed-loop runs: key -> scenario builder
+RUNS = {
+    "wr-t1": lambda: build_wing_rock("theorem1"),
+    "wr-t2": lambda: build_wing_rock("theorem2"),
+    "wr-base": lambda: build_wing_rock("baseline-lambda0"),
+    "wr-t1-half": lambda: build_wing_rock("theorem1", step=5e-5),
+    "syn-t1": lambda: build_synthetic("theorem1", seed=0),
+    "syn-t2": lambda: build_synthetic("theorem2", seed=0),
+}
+
+
 class AcceptanceCache:
     """Lazily simulated shared runs with wall-time bookkeeping.
 
+    ``run(key)`` simulates the :data:`RUNS` entry ``key`` on first use;
+    ``wall`` maps each simulated key to its simulation wall time.
     ``draws`` maps each criterion-5 draw's name to its status and
     terminal ``(x, theta_hat, aux)``, filled when criterion 5 runs.
     """
@@ -55,35 +68,14 @@ class AcceptanceCache:
         self.wall = {}
         self.draws = {}
 
-    def _run(self, key: str, builder: Callable):
+    def run(self, key: str) -> Trajectory:
         if key not in self._store:
-            scn = builder()
+            scn = RUNS[key]()
             t0 = time.perf_counter()
             traj = simulate(scn)
             self.wall[key] = time.perf_counter() - t0
             self._store[key] = traj
         return self._store[key]
-
-    def wing_rock_t1(self) -> Trajectory:
-        return self._run("wr-t1", lambda: build_wing_rock("theorem1"))
-
-    def wing_rock_t2(self) -> Trajectory:
-        return self._run("wr-t2", lambda: build_wing_rock("theorem2"))
-
-    def wing_rock_baseline(self) -> Trajectory:
-        return self._run("wr-base", lambda: build_wing_rock("baseline-lambda0"))
-
-    def wing_rock_t1_half_step(self) -> Trajectory:
-        return self._run("wr-t1-half", lambda: build_wing_rock("theorem1", step=5e-5))
-
-    def synthetic_t1(self) -> Trajectory:
-        return self._run("syn-t1", lambda: build_synthetic("theorem1", seed=0))
-
-    def synthetic_t2(self) -> Trajectory:
-        return self._run("syn-t2", lambda: build_synthetic("theorem2", seed=0))
-
-    def all_cached_runs(self):
-        return dict(self._store)
 
 
 def _terminal_state(tr: Trajectory) -> np.ndarray:
@@ -93,7 +85,7 @@ def _terminal_state(tr: Trajectory) -> np.ndarray:
 
 def criterion_1(cache: AcceptanceCache) -> CriterionResult:
     """Benchmark known-direction run: decay, boundedness, estimates, wall time."""
-    tr = cache.wing_rock_t1()
+    tr = cache.run("wr-t1")
     wall = cache.wall["wr-t1"]
     fit = fit_envelope(tr, rate=0.6)
     u_fit = fit_envelope(tr, rate=0.6, signal="u")
@@ -119,7 +111,7 @@ def criterion_1(cache: AcceptanceCache) -> CriterionResult:
 
 def criterion_2(cache: AcceptanceCache) -> CriterionResult:
     """Benchmark Nussbaum run: monotone bounded gain argument, decay to zero."""
-    tr = cache.wing_rock_t2()
+    tr = cache.run("wr-t2")
     fit = fit_envelope(tr, rate=0.6)
     u_fit = fit_envelope(tr, rate=0.6, signal="u")
     xi = tr.aux[:, 0]
@@ -145,9 +137,9 @@ def criterion_2(cache: AcceptanceCache) -> CriterionResult:
 
 def criterion_3(cache: AcceptanceCache) -> CriterionResult:
     """Exponential designs settle faster; the Nussbaum transient peaks harder."""
-    t1 = cache.wing_rock_t1()
-    t2 = cache.wing_rock_t2()
-    base = cache.wing_rock_baseline()
+    t1 = cache.run("wr-t1")
+    t2 = cache.run("wr-t2")
+    base = cache.run("wr-base")
     table = compare_runs([t1, t2, base], threshold=0.05, rate=0.6)
     r1 = table.row("wing-rock-theorem1")
     r2 = table.row("wing-rock-theorem2")
@@ -166,7 +158,7 @@ def criterion_3(cache: AcceptanceCache) -> CriterionResult:
 
 def criterion_4(cache: AcceptanceCache) -> CriterionResult:
     """Closed-loop energy non-increasing along the known-direction run."""
-    tr = cache.wing_rock_t1()
+    tr = cache.run("wr-t1")
     ok, worst = energy_descent_ok(tr, scale=1e-6)
     details = f"worst step excess={worst:.3e} (<= 0 required)"
     return CriterionResult(4, "energy descent monitor", ok, details)
@@ -320,17 +312,8 @@ def criterion_7(cache: AcceptanceCache) -> CriterionResult:
     for layer in (1, 2):
         worst_fd = max(worst_fd, _fd_gradient_check(eng3, layer, rng, samples=100))
 
-    runs = {
-        "wr-t1": cache.wing_rock_t1(),
-        "wr-t2": cache.wing_rock_t2(),
-        "wr-base": cache.wing_rock_baseline(),
-        "syn-t1": cache.synthetic_t1(),
-        "syn-t2": cache.synthetic_t2(),
-    }
-    worst_resid = max(tr.monitors["max_residual"] for tr in runs.values())
-
-    t1 = cache.wing_rock_t1()
-    t1h = cache.wing_rock_t1_half_step()
+    worst_resid = max(cache.run(key).monitors["max_residual"] for key in RUNS)
+    t1, t1h = cache.run("wr-t1"), cache.run("wr-t1-half")
     halving = float(np.max(np.abs(_terminal_state(t1) - _terminal_state(t1h))))
 
     checks = {
@@ -367,8 +350,8 @@ def criterion_8(cache: AcceptanceCache) -> CriterionResult:
 
 def criterion_9(cache: AcceptanceCache) -> CriterionResult:
     """Third-order synthetic runs exercise the full recursion depth."""
-    t1 = cache.synthetic_t1()
-    t2 = cache.synthetic_t2()
+    t1 = cache.run("syn-t1")
+    t2 = cache.run("syn-t2")
     fit1 = fit_envelope(t1, rate=0.3)
     fit2 = fit_envelope(t2, rate=0.3)
     rho = t1.aux[:, 0]
@@ -415,7 +398,7 @@ CRITERIA = {
 }
 
 
-def run_all(cache: Optional[AcceptanceCache] = None, only=None, report=print):
+def run_all(cache: Optional[AcceptanceCache] = None, only=None):
     """Run the acceptance criteria, printing one pass/fail line each."""
     if cache is None:
         cache = AcceptanceCache()
@@ -424,6 +407,5 @@ def run_all(cache: Optional[AcceptanceCache] = None, only=None, report=print):
     for number in numbers:
         res = CRITERIA[number](cache)
         results.append(res)
-        if report is not None:
-            report(res.line())
+        print(res.line())
     return results

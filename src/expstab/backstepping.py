@@ -55,6 +55,7 @@ diagnostics included.  Each recording compiles exactly one program.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass
@@ -66,7 +67,6 @@ from .duals import (
     Dual,
     Tape,
     Traced,
-    _is_zero,
     _unit_cache,
     fresh_tag,
     last_node,
@@ -106,8 +106,7 @@ def _is_array(v) -> bool:
 
 
 def _plain(v) -> float:
-    while type(v) is Dual:
-        v = v.val
+    v = value_of(v)
     if _is_array(v):
         return lift(last_node, v)  # the appended sigma = 1 node
     return to_float(v)
@@ -126,8 +125,9 @@ def _weighted_sum(weights, obj):
 
 
 def _gauss_legendre_01(nodes: int):
+    """Gauss-Legendre rule on [0, 1] plus sigma = 1 at weight 0 (the base values)."""
     xs, ws = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (xs + 1.0), 0.5 * ws
+    return np.append(0.5 * (xs + 1.0), 1.0), np.append(0.5 * ws, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +175,18 @@ class GainConfig:
             raise ValueError(
                 f"gamma_rho must be positive and finite, got {self.gamma_rho}"
             )
-        if self.quad_nodes < 1:
-            raise ValueError("quad_nodes must be >= 1")
+        # leggauss eigensolves an n x n matrix; numpy tests it up to n = 100
+        q = self.quad_nodes
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral) or not 1 <= q <= 100:
+            raise ValueError(f"quad_nodes must be an integer in 1..100, got {q!r}")
         if not 0.0 < self.resid_tol < math.inf:
             raise ValueError(f"resid_tol must be positive and finite, got {self.resid_tol}")
         if not self.scaled and self.lam != 0.0:
             raise ValueError("the unscaled code path requires lam = 0")
         if self.Gamma is not None:
             G = np.asarray(self.Gamma, dtype=float)
+            if not np.isfinite(G).all():
+                raise ValueError("Gamma must be finite")
             if G.ndim != 2 or G.shape[0] != G.shape[1] or not np.allclose(G, G.T, atol=1e-12):
                 raise ValueError("Gamma must be square and symmetric")
             if np.any(np.linalg.eigvalsh(G) <= 0.0):
@@ -327,11 +331,7 @@ class BacksteppingEngine:
         self.q = model.q
         self._regs = tuple(model.regressors)
         self._gamma_rows = tuple(tuple(float(v) for v in row) for row in G)
-        sig, wts = _gauss_legendre_01(cfg.quad_nodes)
-        # sigma = 1 rides along as a zero-weight node: it yields the base
-        # values and the factorization residual from the same pass.
-        self._sigma = np.concatenate([sig, [1.0]])
-        self._weights = np.concatenate([wts, [0.0]])
+        self._sigma, self._weights = _gauss_legendre_01(cfg.quad_nodes)
         self._lam = float(cfg.lam)
         self._k = tuple(float(v) for v in cfg.k)
         self._sigma_shapes = {0: self._sigma}
@@ -505,9 +505,7 @@ class BacksteppingEngine:
         """
         q = self.q
         zbar = zs[:m]
-        v0 = zbar[0]
-        while type(v0) is Dual:
-            v0 = v0.val
+        v0 = value_of(zbar[0])
         sig = self._sigma if type(v0) is float else self._sigma_by_ndim(v0.ndim)
         tag = fresh_tag()
         units = _unit_cache(m)
@@ -564,7 +562,6 @@ class BacksteppingEngine:
                 gl = self._dot(cc.galphas[i - 2].th, self._gamma_vec(w_n))
                 p = p - cc.ms[i - 1] * gl
         return p
-
 
     def _cascade(self, x: tuple, th: tuple, mu) -> tuple:
         """Every :class:`EngineEval` field at a snapshot, in ``_FULL_FIELDS`` order.
@@ -714,7 +711,6 @@ class BacksteppingEngine:
         )
 
 
-
 def control_theorem1(ev: EngineEval, rho_hat: float, cfg: GainConfig):
     """Known-direction input law and estimator rates.
 
@@ -806,28 +802,16 @@ def factorize_line_integral(
         )
     m = g0.shape[0]
 
-    sig_nodes, weights = _gauss_legendre_01(nodes)
-    sig = np.concatenate([sig_nodes, [1.0]])
-    wts = np.concatenate([weights, [0.0]])
-    tag = fresh_tag()
-    units = _unit_cache(i)
-    seeded = [
-        Dual(tag, sig * zb[l], units[l]) for l in range(i)
-    ]
+    sig, wts = _gauss_legendre_01(nodes)
+    tag, seeded = seed([sig * z for z in zb])
     out = g(*seeded)
 
     G = np.zeros((i, m))
     g_val = np.zeros(m)
     for c in range(m):
-        comp = out[c]
-        comp_val = value_of(comp)
-        g_val[c] = comp_val[-1] if isinstance(comp_val, np.ndarray) else comp_val
-        for l, e in enumerate(partials_of(comp, tag, i)):
-            if _is_zero(e):
-                continue
-            if isinstance(e, np.ndarray):
-                G[l, c] = float(np.dot(wts, e))
-            else:
-                G[l, c] = float(e)  # constant along the ray
+        g_val[c] = _plain(out[c])
+        for l, e in enumerate(partials_of(out[c], tag, i)):
+            # an entry constant along the ray integrates to itself
+            G[l, c] = _node_sum(wts, e) if isinstance(e, np.ndarray) else e
     residual = float(np.linalg.norm(g_val - G.T @ np.asarray(zb)))
     return FactorizationResult(G=G, residual=residual, g_value=g_val)

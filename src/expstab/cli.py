@@ -357,11 +357,9 @@ def cmd_compare(args) -> int:
 
 def cmd_verify_nussbaum(args) -> int:
     try:
-        if args.kind == "user":
-            raise ConfigError("user-supplied gains are a library feature only")
         spec = NussbaumSpec(kind=args.kind, xi_max=args.xi_max)
         report = verify_enhanced(spec, threshold=args.threshold, base_step=args.grid_step)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(report)
@@ -369,7 +367,7 @@ def cmd_verify_nussbaum(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    from .acceptance import AcceptanceCache, run_all
+    from .acceptance import RUNS, AcceptanceCache, run_all
 
     cache = AcceptanceCache()
     only = set(args.only) if args.only else None
@@ -384,8 +382,9 @@ def cmd_acceptance(args) -> int:
         )
         from .sim import export_npz
 
-        for key, traj in cache.all_cached_runs().items():
-            export_npz(traj, out_dir / f"{key}.npz")
+        for key in RUNS:
+            if key in cache.wall:  # simulated by the criteria that ran
+                export_npz(cache.run(key), out_dir / f"{key}.npz")
     return EXIT_OK if not failed else EXIT_MONITOR
 
 

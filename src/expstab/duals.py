@@ -8,6 +8,15 @@ dispatches on the highest tag present, treating lower-tagged operands as
 constants.  This gives exact higher-order mixed partials without symbolic
 work and without finite differences.
 
+Tag promotion is stated once: in ``a op b`` equal tags combine, a
+higher-tagged ``b`` answers with its reflected operator
+(``b.__rsub__(a)``, ...), and anything else is a constant of ``a``'s
+layer, which keeps nested perturbations apart (Siskind and Pearlmutter,
+IFL 2005).  The elementary functions are one table, each built by
+``_elementary(name, float_fn, array_fn, slope)``, ``slope(x, f(x))``
+being the derivative: sin -> ``cos(x)``, cos -> ``-sin(x)``, exp ->
+``f(x)``, log -> ``1 / x``, sqrt -> ``0.5 / f(x)``.
+
 Performance notes (the dual algebra runs while a :class:`Tape` records a
 program and in the un-recorded reference paths, ``virtual_law``,
 ``virtual_law_gradient`` and ``factorize_line_integral``; a simulation
@@ -149,10 +158,9 @@ class Dual:
         if type(o) is Dual:
             if o.tag == self.tag:
                 return Dual(self.tag, self.val + o.val, _eps_add(self.eps, o.eps))
-            if o.tag < self.tag:
-                return Dual(self.tag, self.val + o, self.eps)
-            return Dual(o.tag, self + o.val, o.eps)
-        if type(o) is float and o == 0.0:
+            if o.tag > self.tag:
+                return o.__radd__(self)
+        elif type(o) is float and o == 0.0:
             return self
         return Dual(self.tag, self.val + o, self.eps)
 
@@ -163,10 +171,9 @@ class Dual:
         if type(o) is Dual:
             if o.tag == self.tag:
                 return Dual(self.tag, self.val - o.val, _eps_sub(self.eps, o.eps))
-            if o.tag < self.tag:
-                return Dual(self.tag, self.val - o, self.eps)
-            return Dual(o.tag, self - o.val, o.eps)
-        if type(o) is float and o == 0.0:
+            if o.tag > self.tag:
+                return o.__rsub__(self)
+        elif type(o) is float and o == 0.0:
             return self
         return Dual(self.tag, self.val - o, self.eps)
 
@@ -199,14 +206,10 @@ class Dual:
                         ]
                     ),
                 )
-            if o.tag < self.tag:
-                return Dual(self.tag, self.val * o, _eps_scale(self.eps, o))
-            return Dual(o.tag, self * o.val, _eps_scale(o.eps, self))
-        if type(o) is float or type(o) is int:
-            if o == 0.0:
-                return 0.0
-            return Dual(self.tag, self.val * o, _eps_scale(self.eps, o))
-        # ndarray constant
+            if o.tag > self.tag:
+                return o.__rmul__(self)
+        elif (type(o) is float or type(o) is int) and o == 0.0:
+            return 0.0
         return Dual(self.tag, self.val * o, _eps_scale(self.eps, o))
 
     __rmul__ = __mul__
@@ -229,11 +232,8 @@ class Dual:
                         for x, y in zip(self.eps, o.eps)
                     ),
                 )
-            if o.tag < self.tag:
-                return Dual(self.tag, self.val / o, _eps_scale(self.eps, 1.0 / o))
-            inv = 1.0 / o.val
-            q = self / o.val
-            return Dual(o.tag, q, _eps_scale(o.eps, -q * inv))
+            if o.tag > self.tag:
+                return o.__rtruediv__(self)
         return Dual(self.tag, self.val / o, _eps_scale(self.eps, 1.0 / o))
 
     def __rtruediv__(self, o):
@@ -243,6 +243,8 @@ class Dual:
 
     # -- powers -----------------------------------------------------------
     def __pow__(self, p):
+        if p == 0:
+            return 1.0  # a constant, as the literal-zero folds return 0.0
         if p == 2:
             two_v = 2.0 * self.val
             return Dual(self.tag, self.val * self.val, _eps_scale(self.eps, two_v))
@@ -250,16 +252,14 @@ class Dual:
         return Dual(self.tag, v, _eps_scale(self.eps, p * self.val ** (p - 1)))
 
 
-def seed(args, tag: int | None = None):
-    """Wrap ``args`` as independent variables of a (new) tag.
+def seed(args):
+    """Wrap ``args`` as independent variables of a new tag.
 
     Returns ``(tag, seeded)`` where ``seeded[i]`` carries a unit
     sensitivity in direction ``i``.
     """
-    if tag is None:
-        tag = fresh_tag()
-    k = len(args)
-    units = _unit_cache(k)
+    tag = fresh_tag()
+    units = _unit_cache(len(args))
     return tag, [Dual(tag, a, units[i]) for i, a in enumerate(args)]
 
 
@@ -313,56 +313,35 @@ def value_and_gradient(f, args):
 # -- elementary functions --------------------------------------------------
 
 
-def sin(x):
-    if type(x) is Dual:
-        return Dual(x.tag, sin(x.val), _eps_scale(x.eps, cos(x.val)))
-    if type(x) is float or type(x) is int:
-        return math.sin(x)
-    if type(x) is Traced:
-        return x.tape.call(sin, x)
-    return np.sin(x)
+def _elementary(name: str, scalar, array, slope):
+    """One elementary function, its derivative given as ``slope(x, f(x))``.
+
+    The result dispatches on its argument's type: a :class:`Dual` takes
+    the chain rule on its own tag (the value first, then the slope, both
+    evaluated on the dual's payload), a float or int goes to ``scalar``,
+    a :class:`Traced` leaf is recorded as one call, and anything else (an
+    ndarray) goes to ``array``.
+    """
+
+    def f(x):
+        if type(x) is Dual:
+            v = f(x.val)
+            return Dual(x.tag, v, _eps_scale(x.eps, slope(x.val, v)))
+        if type(x) is float or type(x) is int:
+            return scalar(x)
+        if type(x) is Traced:
+            return x.tape.call(f, x)
+        return array(x)
+
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
-def cos(x):
-    if type(x) is Dual:
-        return Dual(x.tag, cos(x.val), _eps_scale(x.eps, -sin(x.val)))
-    if type(x) is float or type(x) is int:
-        return math.cos(x)
-    if type(x) is Traced:
-        return x.tape.call(cos, x)
-    return np.cos(x)
-
-
-def exp(x):
-    if type(x) is Dual:
-        v = exp(x.val)
-        return Dual(x.tag, v, _eps_scale(x.eps, v))
-    if type(x) is float or type(x) is int:
-        return math.exp(x)
-    if type(x) is Traced:
-        return x.tape.call(exp, x)
-    return np.exp(x)
-
-
-def log(x):
-    if type(x) is Dual:
-        return Dual(x.tag, log(x.val), _eps_scale(x.eps, 1.0 / x.val))
-    if type(x) is float or type(x) is int:
-        return math.log(x)
-    if type(x) is Traced:
-        return x.tape.call(log, x)
-    return np.log(x)
-
-
-def sqrt(x):
-    if type(x) is Dual:
-        v = sqrt(x.val)
-        return Dual(x.tag, v, _eps_scale(x.eps, 0.5 / v))
-    if type(x) is float or type(x) is int:
-        return math.sqrt(x)
-    if type(x) is Traced:
-        return x.tape.call(sqrt, x)
-    return np.sqrt(x)
+sin = _elementary("sin", math.sin, np.sin, lambda x, v: cos(x))
+cos = _elementary("cos", math.cos, np.cos, lambda x, v: -sin(x))
+exp = _elementary("exp", math.exp, np.exp, lambda x, v: v)
+log = _elementary("log", math.log, np.log, lambda x, v: 1.0 / x)
+sqrt = _elementary("sqrt", math.sqrt, np.sqrt, lambda x, v: 0.5 / v)
 
 
 # -- recording and replay ----------------------------------------------------

@@ -16,19 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from expstab.acceptance import CRITERIA, AcceptanceCache
+from expstab.acceptance import CRITERIA, RUNS, AcceptanceCache
 
 REFERENCE = Path(__file__).with_name("golden_acceptance.json")
 ROWS = 50
-
-RUNS = {
-    "wr-t1": AcceptanceCache.wing_rock_t1,
-    "wr-t2": AcceptanceCache.wing_rock_t2,
-    "wr-base": AcceptanceCache.wing_rock_baseline,
-    "wr-t1-half": AcceptanceCache.wing_rock_t1_half_step,
-    "syn-t1": AcceptanceCache.synthetic_t1,
-    "syn-t2": AcceptanceCache.synthetic_t2,
-}
 
 
 def _rows(n_rows: int) -> list:
@@ -46,8 +37,8 @@ def snapshot(cache: AcceptanceCache) -> dict:
     Runs the six acceptance runs and criterion 5 if the cache lacks them.
     """
     runs = {}
-    for key, get in RUNS.items():
-        tr = get(cache)
+    for key in RUNS:
+        tr = cache.run(key)
         picked = _rows(len(tr.t))
         runs[key] = {
             "status": tr.status,

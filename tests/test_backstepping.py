@@ -502,6 +502,22 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("nodes", [0, 101, 100_000, 5.5, 8.0, True, "8", None])
+def test_config_rejects_quad_nodes_the_engine_cannot_build(nodes):
+    # checked at construction: leggauss(n) would build an n x n matrix
+    with pytest.raises(ValueError, match=r"quad_nodes must be an integer in 1\.\.100"):
+        GainConfig(k=(1.0,), lam=0.0, quad_nodes=nodes)
+    for ok in (1, 100, np.int64(12)):
+        assert GainConfig(k=(1.0,), lam=0.0, quad_nodes=ok).quad_nodes == ok
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_gamma(entry):
+    for gamma in ([[entry]], [[1.0, entry], [entry, 1.0]]):
+        with pytest.raises(ValueError, match="Gamma must be finite"):
+            GainConfig(k=(1.0,), lam=0.0, Gamma=np.asarray(gamma))
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_config_rejects_a_residual_tolerance_not_positive_and_finite(tol):
     # -1 would end every run at its first state, NaN would switch the gate off

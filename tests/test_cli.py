@@ -302,6 +302,21 @@ def test_verify_nussbaum_rejects_bad_arguments(capsys, argv):
     assert "configuration error" in captured.err and not captured.out
 
 
+def test_verify_nussbaum_refuses_a_user_gain(capsys):
+    # a user-supplied gain is a library feature: argparse refuses the kind
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-nussbaum", "--kind", "user"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'user'" in capsys.readouterr().err
+
+
+def test_run_refuses_more_quadrature_nodes_than_the_engine_builds(tmp_path, capsys):
+    rc = main(["run", "--scenario", "wing-rock-theorem1", "--set", "quad_nodes=1000",
+               "--horizon", "0.01", "--out", str(tmp_path), "--quiet"])
+    assert rc == EXIT_CONFIG
+    assert "quad_nodes must be an integer in 1..100" in capsys.readouterr().err
+
+
 def test_acceptance_only_takes_a_criterion_number(capsys):
     from expstab.acceptance import CRITERIA
 

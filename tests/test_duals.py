@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expstab import codegen
+from expstab import codegen, duals
 from expstab.duals import (
     Dual,
     Tape,
@@ -518,3 +518,100 @@ def test_unrolled_replay_equals_the_tape_op_by_op(program, chunk):
                     assert _same_values(g, w), (g, w)
     finally:
         codegen._CHUNK_STATEMENTS = saved
+
+
+# -- nested tags ------------------------------------------------------------------
+
+_H = 1e-6
+
+
+def _central(f, x):
+    return (f(x + _H) - f(x - _H)) / (2.0 * _H)
+
+
+def _close(got, want) -> bool:
+    return bool(np.all(np.abs(np.asarray(got) - want) <= 1e-6 * np.maximum(1.0, np.abs(want))))
+
+
+def _nested(f, a, b):
+    """``f(a, b)`` and its two partials, ``a`` seeded on an outer tag, ``b`` on an inner one.
+
+    The inner tag is the higher one, so inside ``f`` the ``b`` operand
+    carries the higher tag.
+    """
+    def inner(x):
+        return value_and_gradient(lambda y: f(x, y), (b,))
+
+    val, (da,) = value_and_gradient(lambda x: inner(x)[0], (a,))
+    db, _ = value_and_gradient(lambda x: inner(x)[1][0], (a,))
+    return val, da, db
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_operand = st.floats(-3.0, 3.0).filter(lambda v: abs(v) >= 0.25)
+
+
+@pytest.mark.parametrize("higher", ["left", "right"])
+@pytest.mark.parametrize("name", list(_OPERATORS))
+@settings(max_examples=60, deadline=None)
+@given(a=_operand, b=_operand)
+def test_nested_binary_operators_match_central_differences(name, higher, a, b):
+    op = _OPERATORS[name]
+    # ``a`` is the left operand, ``b`` the right; ``higher`` names the one
+    # that carries the inner, higher tag
+    if higher == "right":
+        val, d_left, d_right = _nested(op, a, b)
+    else:
+        val, d_right, d_left = _nested(lambda x, y: op(y, x), b, a)
+    assert val == op(a, b)  # bit-identical to plain evaluation
+    assert _close(d_left, _central(lambda x: op(x, b), a)), d_left
+    assert _close(d_right, _central(lambda y: op(a, y), b)), d_right
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "log", "sqrt"])
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(0.25, 3.0), at=st.floats(0.25, 3.0))
+def test_elementary_functions_on_every_payload(name, x, at):
+    fn = getattr(duals, name)
+    scalar = getattr(math, name)
+    array = getattr(np, name)
+
+    # a float
+    val, (d,) = value_and_gradient(fn, (x,))
+    assert val == scalar(x) and _close(d, _central(scalar, x))
+
+    # a 1-d array
+    xs = np.array([x, 0.5 * x, x + 1.0])
+    val, (d,) = value_and_gradient(fn, (xs,))
+    assert np.array_equal(val, array(xs)) and _close(d, _central(array, xs))
+
+    # a Dual whose value is a Dual: the function and its slope, nested
+    def slope(y):
+        return value_and_gradient(fn, (y,))[1][0]
+
+    val, (d,) = value_and_gradient(lambda y: value_and_gradient(fn, (y,))[0], (x,))
+    assert val == scalar(x) and _close(d, _central(scalar, x))
+    d1, (d2,) = value_and_gradient(slope, (x,))
+    assert d1 == slope(x) and _close(d2, _central(slope, x))
+
+    # a replayed tape, recorded at x and replayed at another point
+    tape = Tape()
+    rec_val, (rec_d,) = value_and_gradient(fn, (tape.input(x),))
+    val, d = tape.compile((rec_val, rec_d))((at,))
+    assert val == scalar(at) and _close(d, _central(scalar, at))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@pytest.mark.parametrize("x", [0.0, -1.5, 0.75])
+def test_power_rule_nests_down_to_a_constant(p, x):
+    def power(y):
+        return y**p
+
+    def slope(y):
+        return value_and_gradient(power, (y,))[1][0]
+
+    val, (d,) = value_and_gradient(power, (x,))
+    assert val == x**p and _close(d, _central(power, x))
+    # the slope of x**1 is x**0, whose derivative is that of a constant
+    d1, (d2,) = value_and_gradient(slope, (x,))
+    assert d1 == d and _close(d2, _central(slope, x))
